@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Sequence
 
 from ..core import units
 from ..core.engine import Simulation
@@ -84,7 +84,7 @@ class CloudEndpoint(Entity):
             tier=self.TIER,
             entity=self.name,
         )
-        # Hot-path contract: deliver() bumps the bucket list directly
+        # Hot-path contract: deliver_many() bumps the bucket list directly
         # (one bisect + one list store), no method call per packet.
         self._gap_edges = self._h_gap.edges
         self._gap_buckets = self._h_gap.bucket_counts
@@ -119,29 +119,57 @@ class CloudEndpoint(Entity):
 
     def deliver(self, packet: Packet, via_gateway: str, via_backhaul: str) -> bool:
         """Record an arriving packet.  Returns False if the endpoint is dark."""
+        return self.deliver_many(
+            (packet.source,), self.sim.now, via_gateway, via_backhaul, lambda _s: packet
+        )
+
+    def deliver_many(
+        self,
+        sources: Sequence[str],
+        now: float,
+        via_gateway: str,
+        via_backhaul: str,
+        packet_for: Callable[[str], Packet],
+    ) -> bool:
+        """Record one packet per source, all arriving at ``now``.
+
+        Every update here (week counts, the delivered counter, each
+        source's last arrival and gap bucket) is order-free across
+        distinct sources, so a batch lands exactly as the same packets
+        delivered one by one.  ``packet_for(source)`` supplies the frame
+        a ``store_deliveries`` endpoint records.  Returns False, and
+        records nothing, if the endpoint is dark.
+        """
         if not self.accepting():
             return False
-        now = self.sim.now
+        if not sources:
+            return True
+        records = None
         if self.store_deliveries:
-            self.deliveries.append(
-                DeliveryRecord(
-                    packet=packet,
-                    received_at=now,
-                    via_gateway=via_gateway,
-                    via_backhaul=via_backhaul,
-                )
-            )
+            records = self.deliveries
         else:
             week = int(now // units.WEEK)
             counts = self._week_counts
-            counts[week] = counts.get(week, 0) + 1
+            counts[week] = counts.get(week, 0) + len(sources)
             self._last_arrival = now
-        self._c_delivered.value += 1
+        self._c_delivered.value += len(sources)
         per_device_last = self.per_device_last
-        last = per_device_last.get(packet.source)
-        if last is not None:
-            self._gap_buckets[bisect_left(self._gap_edges, now - last)] += 1
-        per_device_last[packet.source] = now
+        buckets = self._gap_buckets
+        edges = self._gap_edges
+        for source in sources:
+            if records is not None:
+                records.append(
+                    DeliveryRecord(
+                        packet=packet_for(source),
+                        received_at=now,
+                        via_gateway=via_gateway,
+                        via_backhaul=via_backhaul,
+                    )
+                )
+            last = per_device_last.get(source)
+            if last is not None:
+                buckets[bisect_left(edges, now - last)] += 1
+            per_device_last[source] = now
         return True
 
     # Compatibility views over the registry-backed counters.

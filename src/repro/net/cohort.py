@@ -22,7 +22,9 @@ skips them) is preserved.  The golden equivalence fixture in
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+import math
+from functools import partial
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -31,13 +33,20 @@ from ..core.engine import PeriodicTask, Simulation
 from ..core.entity import Entity
 from ..energy.budget import TaskProfile
 from ..energy.sources import EnergySource
-from ..radio.link import RadioSpec, attempt_delivery
+from ..radio.link import RadioSpec
 from ..radio.packets import Packet, Reading
 from ..reliability.distributions import LifetimeDistribution
 from .device import MAX_LINKS_TRIED
 from .gateway import Gateway
 from .geometry import Position
 from .topology import GatewayIndex
+
+#: One entry of a member's link table: a nearest hearing gateway, its
+#: shadowing sigma, and the member's mean path loss to it, in dB.
+Link = Tuple[Gateway, float, float]
+
+#: Marks a gateway not yet heard in the report in progress.
+_NEW = object()
 
 
 class CohortPower:
@@ -177,10 +186,12 @@ class DeviceCohort(Entity):
 
     One ``report`` event per tick services every living member: a
     vectorised energy step, a vectorised sensing draw for the members
-    that afforded the cycle, then the same per-member radio loop an
-    :class:`~repro.net.device.EdgeDevice` runs (scalar draws on the
-    "radio" stream, nearest-``MAX_LINKS_TRIED``-hearing candidates from
-    the shared :class:`~repro.net.topology.GatewayIndex`).
+    that afforded the cycle, then the per-member radio trials an
+    :class:`~repro.net.device.EdgeDevice` makes (scalar draws on the
+    "radio" stream against a cached link table of the member's
+    nearest-``MAX_LINKS_TRIED`` hearing gateways from the shared
+    :class:`~repro.net.topology.GatewayIndex`), and finally one bulk
+    :meth:`~repro.net.gateway.Gateway.receive_many` per heard gateway.
 
     Member hardware lifetimes are drawn at deployment on the
     "device-hw" stream with one scalar ``sample(rng, 1)`` call per
@@ -237,11 +248,13 @@ class DeviceCohort(Entity):
         self.gateway_index: Optional[GatewayIndex] = None
         self.death_at = np.full(self.count, np.inf)
 
-        #: Per-member cached candidate lists plus the invalidation state
-        #: for the shrink-only reuse rule (see :meth:`_sync_candidates`).
-        self._cand: List[Optional[List[Gateway]]] = [None] * self.count
-        self._cand_version: int = -1
-        self._hearing_ids: Set[int] = set()
+        #: Per-member link tables: one ``(gateway, shadowing_sigma_db,
+        #: mean_loss_db)`` triple per nearest hearing gateway, filled on
+        #: a member's first report and kept exact by
+        #: :meth:`_sync_candidates`.
+        self._links: List[Optional[Tuple[Link, ...]]] = [None] * self.count
+        self._links_version: int = -1
+        self._hearing: Set[Gateway] = set()
 
         metrics = sim.metrics
         self._c_attempts = metrics.counter(
@@ -296,40 +309,85 @@ class DeviceCohort(Entity):
             self._task = None
 
     # ------------------------------------------------------------------
-    # Candidate gateways
+    # Link tables
     # ------------------------------------------------------------------
     def _sync_candidates(self, index: GatewayIndex) -> None:
-        """Reconcile the per-member candidate caches with the topology.
+        """Reconcile the per-member link tables with the topology.
 
-        A member's cached list stays exact under *shrink-only* change:
-        if no gateway has newly become able to hear since the member
-        cached, and everything the member cached still hears, then the
-        nearest-hearing set is provably unchanged (survivors keep their
-        relative provider order, so distance ties still resolve the same
-        way, and anything outside the cached set was already ranked
-        below it).  Any rebuild that *gains* a hearer — a deployment, or
-        a degradation lifted — drops every cache, because a newly
-        hearing gateway may displace cached entries anywhere in the
-        fleet.  The gained-hearer check costs O(population) once per
-        topology bump; the reuse it buys avoids O(members) re-queries
-        per gateway failure.
+        Runs once per ``topology_version`` bump; between bumps no
+        gateway's ``hears()`` can flip, so a filled table stays exact
+        and the duty cycle never re-checks it.  A table survives a bump
+        under *shrink-only* change: if no gateway has newly become able
+        to hear, and every gateway in the table still hears, then the
+        member's nearest-hearing set is provably unchanged (survivors
+        keep their relative provider order, so distance ties still
+        resolve the same way, and anything outside the table was
+        already ranked below it).  Tables naming a gateway that stopped
+        hearing are dropped.  Any rebuild that *gains* a hearer — a
+        deployment, or a degradation lifted — drops every table,
+        because a newly hearing gateway may displace entries anywhere
+        in the fleet.
         """
         version = self.sim.topology_version
-        if version == self._cand_version:
+        if version == self._links_version:
             return
-        hearing = {id(g) for g in index.population() if g.hears()}
-        if not hearing <= self._hearing_ids:
-            self._cand = [None] * self.count
-        self._hearing_ids = hearing
-        self._cand_version = version
+        hearing = {g for g in index.population() if g.hears()}
+        if not hearing <= self._hearing:
+            self._links = [None] * self.count
+        else:
+            lost = self._hearing - hearing
+            if lost:
+                links = self._links
+                for i, table in enumerate(links):
+                    if table is not None and any(g in lost for g, _, _ in table):
+                        links[i] = None
+        self._hearing = hearing
+        self._links_version = version
 
-    def _candidates_for(self, i: int, index: GatewayIndex) -> List[Gateway]:
-        cached = self._cand[i]
-        if cached is not None and all(g.hears() for g in cached):
-            return cached
-        fresh = index.nearest_hearing(self.positions[i], count=MAX_LINKS_TRIED)
-        self._cand[i] = fresh
-        return fresh
+    def _fill_links(self, i: int, index: GatewayIndex) -> Tuple[Link, ...]:
+        """Member ``i``'s link table from a fresh nearest-hearing query.
+
+        ``mean_loss_db`` is the exact expression
+        :func:`~repro.radio.link.attempt_delivery` evaluates, so the
+        cached value is bit-identical to a per-report recomputation.
+        """
+        position = self.positions[i]
+        frequency_hz = self.spec.frequency_hz
+        table = tuple(
+            (
+                gateway,
+                gateway.path_loss.shadowing_sigma_db,
+                gateway.path_loss.mean_loss_db(
+                    max(position.distance_to(gateway.position), 1.0), frequency_hz
+                ),
+            )
+            for gateway in index.nearest_hearing(position, count=MAX_LINKS_TRIED)
+        )
+        self._links[i] = table
+        return table
+
+    def _packet(
+        self, now: float, approved: np.ndarray, values: np.ndarray, source: str
+    ) -> Packet:
+        """The frame member ``source`` sent at ``now``.
+
+        ``approved`` and ``values`` are the report's transmitting members
+        and their sensed values.  Built only for consumers that need the
+        frame itself (a wallet's credit count, a storing endpoint's
+        records); the aggregate path never constructs one.
+        """
+        i = int(source.rpartition(".")[2])
+        return Packet(
+            source=source,
+            created_at=now,
+            payload_bytes=self.payload_bytes,
+            reading=Reading(
+                kind=self.sensor_kind,
+                value=float(values[np.searchsorted(approved, i)]),
+                unit="normalized",
+            ),
+            signed_with=f"factory-key:{source}",
+        )
 
     # ------------------------------------------------------------------
     # The batched duty cycle
@@ -361,52 +419,56 @@ class DeviceCohort(Entity):
             loc=1.0, scale=0.05, size=n_approved
         )
         index = self.gateway_index
-        if index is not None:
-            self._sync_candidates(index)
+        if index is None:
+            self._c_no_gateway.value += n_approved
+            return
+        self._sync_candidates(index)
+        # The radio trial of attempt_delivery, inlined: the same draws
+        # in the same order and the same IEEE-754 operations.
         rng = self.sim.rng("radio")
+        normal = rng.standard_normal
+        uniform = rng.random
+        exp = math.exp
         spec = self.spec
-        payload_bytes = self.payload_bytes
-        sensor_kind = self.sensor_kind
+        tx_dbm = spec.tx_power_dbm
+        sensitivity_dbm = spec.sensitivity_dbm
+        slope_db = spec.per_slope_db
+        links = self._links
+        names = self.member_names
+        packet_for = partial(self._packet, now, approved, values)
+        # Heard members grouped by gateway, in member order; a
+        # wallet-backed gateway is delivered to inline instead (its
+        # debits are the one order-sensitive forwarding step).
+        batches: Dict[Gateway, Optional[List[str]]] = {}
         no_gateway = 0
         radio_lost = 0
         delivered = 0
-        for j in range(n_approved):
-            i = int(approved[j])
-            packet = Packet(
-                source=self.member_names[i],
-                created_at=now,
-                payload_bytes=payload_bytes,
-                reading=Reading(
-                    kind=sensor_kind,
-                    value=float(values[j]),
-                    unit="normalized",
-                ),
-                signed_with=f"factory-key:{self.member_names[i]}",
-            )
-            position = self.positions[i]
-            candidates = (
-                self._candidates_for(i, index) if index is not None else ()
-            )
-            heard_by: Optional[Gateway] = None
-            tried = 0
-            for gateway in candidates:
-                if not gateway.hears():
-                    continue
-                tried += 1
-                distance = max(position.distance_to(gateway.position), 1.0)
-                if attempt_delivery(spec, gateway.path_loss, distance, rng):
-                    heard_by = gateway
+        for i in approved.tolist():
+            table = links[i]
+            if table is None:
+                table = self._fill_links(i, index)
+            for gateway, sigma_db, mean_loss_db in table:
+                loss_db = mean_loss_db + sigma_db * normal()
+                margin_db = (tx_dbm - loss_db) - sensitivity_dbm
+                if uniform() < 1.0 / (1.0 + exp(-margin_db / slope_db)):
                     break
-                if tried == MAX_LINKS_TRIED:
-                    break
-            if tried == 0:
-                no_gateway += 1
+            else:
+                if table:
+                    radio_lost += 1
+                else:
+                    no_gateway += 1
                 continue
-            if heard_by is None:
-                radio_lost += 1
-                continue
-            if heard_by.receive(packet):
-                delivered += 1
+            batch = batches.get(gateway, _NEW)
+            if batch is _NEW:
+                batch = None if getattr(gateway, "wallet", None) is not None else []
+                batches[gateway] = batch
+            if batch is None:
+                delivered += gateway.receive_many((names[i],), now, packet_for)
+            else:
+                batch.append(names[i])
+        for gateway, batch in batches.items():
+            if batch is not None:
+                delivered += gateway.receive_many(batch, now, packet_for)
         if no_gateway:
             self._c_no_gateway.value += no_gateway
         if radio_lost:

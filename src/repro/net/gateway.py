@@ -15,7 +15,7 @@ case) — it *churns*: its owner may unplug it at any time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from ..core.engine import Simulation
 from ..core.entity import Entity
@@ -108,28 +108,61 @@ class Gateway(Entity):
         """
         if not self.hears():
             return False
-        self._c_received.value += 1
-        if packet.source in self.blocklist:
-            self._c_drop_blocklist.value += 1
-            return False
-        return self._forward(packet)
+        return self._forward((packet.source,), self.sim.now, lambda _s: packet) == 1
 
-    def _forward(self, packet: Packet) -> bool:
+    def receive_many(
+        self,
+        sources: Sequence[str],
+        now: float,
+        packet_for: Callable[[str], Packet],
+    ) -> int:
+        """Accept one decoded packet per source, all sent at ``now``.
+
+        The bulk form of :meth:`receive` for a cohort report event.  No
+        other event runs inside one, so ``hears()``, the backhaul's
+        ``carries_traffic()`` and the endpoint's ``accepting()`` hold
+        for the whole batch and one route walk serves every packet.
+        ``packet_for(source)`` builds a source's packet on demand, for
+        the consumers that need the frame itself (a wallet's credit
+        count, a storing endpoint's records).  Returns the number of
+        packets that reached a recording endpoint.
+        """
+        if not self.hears():
+            return 0
+        return self._forward(sources, now, packet_for)
+
+    def _forward(
+        self,
+        sources: Sequence[str],
+        now: float,
+        packet_for: Callable[[str], Packet],
+    ) -> int:
+        """Blocklist, route walk and drop accounting for heard packets."""
+        count = len(sources)
+        self._c_received.value += count
+        blocklist = self.blocklist
+        if blocklist:
+            sources = [s for s in sources if s not in blocklist]
+            if len(sources) < count:
+                self._c_drop_blocklist.value += count - len(sources)
+                count = len(sources)
+        if not count:
+            return 0
         for backhaul in self.depends_on:
             carries = getattr(backhaul, "carries_traffic", None)
             if carries is None or not carries():
                 continue
             for endpoint in backhaul.depends_on:
-                deliver = getattr(endpoint, "deliver", None)
-                if deliver is None:
+                deliver_many = getattr(endpoint, "deliver_many", None)
+                if deliver_many is None:
                     continue
-                if deliver(packet, via_gateway=self.name, via_backhaul=backhaul.name):
-                    self._c_forwarded.value += 1
-                    return True
-                self._c_drop_endpoint.value += 1
-                return False
-        self._c_drop_backhaul.value += 1
-        return False
+                if deliver_many(sources, now, self.name, backhaul.name, packet_for):
+                    self._c_forwarded.value += count
+                    return count
+                self._c_drop_endpoint.value += count
+                return 0
+        self._c_drop_backhaul.value += count
+        return 0
 
     # Compatibility views over the registry-backed counters (setters for
     # corruption-injection tests; reads and writes share one instrument).
@@ -273,10 +306,34 @@ class ThirdPartyGateway(Gateway):
     def receive(self, packet: Packet) -> bool:
         if not self.hears():
             return False
-        if self.wallet is not None and not self.wallet.debit(packet.credit_units):
-            self._c_drop_unpaid.value += 1
+        if not self._pay(packet):
             return False
         return super().receive(packet)
+
+    def receive_many(
+        self,
+        sources: Sequence[str],
+        now: float,
+        packet_for: Callable[[str], Packet],
+    ) -> int:
+        """Bulk :meth:`receive`: each source pays, in order, before routing.
+
+        Debits are the one order-sensitive step of forwarding: hotspots
+        may share a wallet, so a caller serving several of them must
+        hand each packet over one at a time, in transmission order.
+        """
+        if not self.hears():
+            return 0
+        if self.wallet is not None:
+            sources = [s for s in sources if self._pay(packet_for(s))]
+        return super().receive_many(sources, now, packet_for)
+
+    def _pay(self, packet: Packet) -> bool:
+        """Debit the wallet for ``packet``; count an unpaid drop if broke."""
+        if self.wallet is None or self.wallet.debit(packet.credit_units):
+            return True
+        self._c_drop_unpaid.value += 1
+        return False
 
     def on_deploy(self) -> None:
         if self.departs_at is not None:

@@ -271,3 +271,202 @@ class TestDeviceCohortConstruction:
         rng = reference.rng("device-hw")
         expected = [float(model.sample(rng, 1)[0]) for _ in range(n)]
         assert cohort.death_at.tolist() == expected
+
+
+# ----------------------------------------------------------------------
+# Engine equivalence on the forwarding drop paths
+# ----------------------------------------------------------------------
+# The city fixture never blocklists, degrades a backhaul, darkens the
+# endpoint, or routes through paid hotspots.  One small LoRa layout runs
+# once as per-entity EdgeDevices and once as one DeviceCohort, with every
+# one of those paths firing, and the two runs must agree on every
+# forwarding counter and every endpoint aggregate.
+
+COHORT = "c"
+REPORT = units.hours(6.0)
+HORIZON = units.days(15.0)
+#: Columns alternate west and east, so consecutive members mostly reach
+#: different gateways: grouping by gateway reorders them, and only
+#: member-order wallet debits refuse the same members the per-entity
+#: engine refuses.
+MEMBER_POSITIONS = [
+    (x, y) for y in (100.0, 1000.0, 1900.0) for x in (100.0, 1900.0, 700.0, 1300.0)
+]
+#: Two credits a packet (30 B > one 24 B unit); about ten credits a
+#: report reach the hotspots, so the odd-sized wallet runs dry partway
+#: through one report (day 6.25).
+PAYLOAD_BYTES = 30
+WALLET_CREDITS = 253
+
+
+class LoggingWallet:
+    """A shared hotspot wallet that records when each debit succeeded."""
+
+    def __init__(self, sim, credits):
+        from repro.net import DataCreditWallet
+
+        self.sim = sim
+        self.inner = DataCreditWallet()
+        self.inner.provision(credits)
+        self.log = []
+
+    def debit(self, credits):
+        ok = self.inner.debit(credits)
+        self.log.append((self.sim.now, ok))
+        return ok
+
+
+def drop_path_layout(engine, store_deliveries=False):
+    """Run the layout on ``engine`` to the horizon.
+
+    Returns ``(sim, endpoint, gateways, wallet, fleet)``.
+    """
+    from repro.core import Simulation
+    from repro.net import CampusBackhaul, CloudEndpoint, ThirdPartyGateway
+    from repro.net.cohort import DeviceCohort
+    from repro.net.device import EdgeDevice
+    from repro.net.gateway import Gateway
+    from repro.net.geometry import Position
+    from repro.net.topology import GatewayIndex
+    from repro.radio.lora import LoRaParameters, suburban_path_loss
+
+    sim = Simulation(seed=5)
+    lora = LoRaParameters()
+    # A weak, embedded link, so some reports are lost on the radio.
+    spec = lora.spec(tx_power_dbm=0.0)
+    path_loss = suburban_path_loss(embedded=True)
+    endpoint = CloudEndpoint(sim, store_deliveries=store_deliveries)
+    endpoint.deploy()
+    backhaul = CampusBackhaul(sim)
+    backhaul.add_dependency(endpoint)
+    backhaul.deploy()
+    wallet = LoggingWallet(sim, WALLET_CREDITS)
+    owned = [
+        Gateway(sim, "lora", spec, path_loss, Position(x, 0.0), name=f"gw-{k}")
+        for k, x in enumerate((0.0, 2000.0))
+    ]
+    hotspots = [
+        ThirdPartyGateway(sim, spec, path_loss, Position(x, 2000.0), name=f"hs-{k}")
+        for k, x in enumerate((0.0, 2000.0))
+    ]
+    gateways = owned + hotspots
+    for gateway in gateways:
+        gateway.add_dependency(backhaul)
+        gateway.deploy()
+    for hotspot in hotspots:
+        hotspot.wallet = wallet
+    index = GatewayIndex(
+        sim, lambda: [g for g in gateways if g.alive], cell_size_m=500.0
+    )
+    owned[0].block(f"{COHORT}.0")
+    # Fault windows sit between report ticks, so no two events tie.
+    faults = [
+        (2.1, backhaul.force_degrade),
+        (2.6, backhaul.restore_degrade),
+        (3.1, owned[0].force_degrade),  # a hearer lost ...
+        (4.1, owned[0].restore_degrade),  # ... and gained back
+        (5.1, endpoint.force_degrade),
+        (5.6, endpoint.restore_degrade),
+        (7.1, owned[1].fail),
+    ]
+    for day, action in faults:
+        sim.call_at(units.days(day), action)
+    positions = [Position(x, y) for x, y in MEMBER_POSITIONS]
+    airtime_s = lora.airtime_s(PAYLOAD_BYTES)
+    if engine == "cohort":
+        cohort = DeviceCohort(
+            sim, "lora", spec, airtime_s, REPORT, positions,
+            payload_bytes=PAYLOAD_BYTES, name=COHORT,
+        )
+        cohort.gateway_index = index
+        cohort.deploy()
+        fleet = [cohort]
+    else:
+        fleet = []
+        for i, position in enumerate(positions):
+            device = EdgeDevice(
+                sim, "lora", spec, airtime_s, REPORT,
+                payload_bytes=PAYLOAD_BYTES, position=position,
+                name=f"{COHORT}.{i}",
+            )
+            device.gateway_index = index
+            device.deploy()
+            fleet.append(device)
+    sim.run_until(HORIZON)
+    return sim, endpoint, gateways, wallet, fleet
+
+
+def forwarding_accounts(endpoint, gateways, wallet, fleet):
+    loss = {}
+    for unit in fleet:
+        for key, value in unit.loss_breakdown().items():
+            loss[key] = loss.get(key, 0) + value
+    return {
+        "gateways": {
+            g.name: {
+                "received": g.packets_received,
+                "forwarded": g.packets_forwarded,
+                "blocklist": g.drops_blocklist,
+                "backhaul": g.drops_backhaul,
+                "endpoint": g.drops_endpoint,
+                "unpaid": getattr(g, "drops_unpaid", 0),
+            }
+            for g in gateways
+        },
+        "delivered": endpoint.delivered_count,
+        "gap_buckets": endpoint.delivery_gap_buckets,
+        "per_device_last": dict(endpoint.per_device_last),
+        "wallet": (wallet.inner.balance, wallet.inner.spent, wallet.inner.refusals),
+        "loss": loss,
+    }
+
+
+class TestCohortForwardingEquivalence:
+    def test_drop_paths_match_per_entity(self):
+        reference = drop_path_layout("per-entity")
+        cohort = drop_path_layout("cohort")
+        expected = forwarding_accounts(*reference[1:])
+        assert forwarding_accounts(*cohort[1:]) == expected
+        # Every drop path fired, so the equality above covers each.
+        totals = {
+            reason: sum(g[reason] for g in expected["gateways"].values())
+            for reason in ("blocklist", "backhaul", "endpoint", "unpaid")
+        }
+        assert all(totals.values()), totals
+        assert expected["loss"]["radio_lost"] > 0
+        # The shared wallet ran dry inside one report: that tick has
+        # both paid and refused debits, and debits ran in member order.
+        by_tick = {}
+        for now, ok in cohort[3].log:
+            by_tick.setdefault(now, set()).add(ok)
+        assert {True, False} in by_tick.values()
+        assert cohort[3].log == reference[3].log
+
+    def test_storing_endpoint_matches_per_entity(self):
+        _, ref_endpoint, *_ = drop_path_layout("per-entity", store_deliveries=True)
+        sim, endpoint, *_ = drop_path_layout("cohort", store_deliveries=True)
+        assert len(endpoint.deliveries) == len(ref_endpoint.deliveries) > 0
+        assert endpoint.weekly_uptime(0.0, HORIZON) == ref_endpoint.weekly_uptime(
+            0.0, HORIZON
+        )
+        assert endpoint.device_silence(HORIZON) == ref_endpoint.device_silence(
+            HORIZON
+        )
+
+        def records(point):
+            return sorted(
+                (
+                    r.packet.source,
+                    r.received_at,
+                    r.via_gateway,
+                    r.via_backhaul,
+                    r.packet.created_at,
+                    r.packet.payload_bytes,
+                    r.packet.reading,
+                    r.packet.signed_with,
+                )
+                for r in point.deliveries
+            )
+
+        # Real records, sensing values included, not just a count.
+        assert records(endpoint) == records(ref_endpoint)
