@@ -1,11 +1,10 @@
 """Paper-vs-measured reporting for the benchmark suite.
 
 ``PaperComparison`` is the standard row format every benchmark emits so
-EXPERIMENTS.md stays uniform.  The experimental diary itself lives in
-:mod:`repro.analysis.diary` (sim layers carry a diary during runs, and
-simlint SL006 forbids them from importing this presentation module);
-``DiaryEntry``/``ExperimentDiary`` are re-exported here for
-compatibility.
+EXPERIMENTS.md stays uniform, and :func:`comparison_table` renders a
+list of them as markdown.  The experimental diary is not here: it lives
+in :mod:`repro.analysis.diary`, because sim layers carry a diary during
+runs and simlint SL006 forbids them from importing this module.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .diary import DiaryEntry, ExperimentDiary
-
 __all__ = [
-    "DiaryEntry",
-    "ExperimentDiary",
     "PaperComparison",
     "comparison_table",
 ]

@@ -15,8 +15,8 @@ aggregate-only cloud endpoint.  The scenario runs in either of two
 Both modes draw from the same named RNG streams in the same per-stream
 order, so every delivery, loss, brownout, and death lands identically;
 ``tests/experiment/test_city_equivalence.py`` holds the proof.  The
-cohort mode exists purely to make 100k+ devices tractable (see
-``benchmarks/bench_city_fleet.py``).
+cohort mode exists purely to make 100k+ devices tractable (its
+throughput is the ``city-cohort`` workload of ``perfbench/run.py``).
 """
 
 from __future__ import annotations

@@ -351,7 +351,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         fmt=args.format,
         list_rules=args.list_rules,
         project=args.project,
-        cache=args.cache,
     )
 
 

@@ -44,13 +44,11 @@ with ``# simlint: skip-file``.
 
 from .analyzer import (
     PARSE_ERROR_RULE,
-    LintCache,
     iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
     parse_suppressions,
-    ruleset_signature,
 )
 from .cli import add_lint_arguments, main, run
 from .findings import Finding, ModuleContext, module_name_for
@@ -74,13 +72,11 @@ from .rules import RULES, Rule, catalog, get_rule
 
 __all__ = [
     "PARSE_ERROR_RULE",
-    "LintCache",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
     "parse_suppressions",
-    "ruleset_signature",
     "add_lint_arguments",
     "main",
     "run",

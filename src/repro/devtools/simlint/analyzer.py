@@ -1,12 +1,9 @@
-"""File discovery, suppression parsing, rule execution, and the
-content-hash result cache for simlint."""
+"""File discovery, suppression parsing, and rule execution for simlint."""
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from pathlib import Path
@@ -106,106 +103,18 @@ def lint_source(
     return sorted(findings)
 
 
-class LintCache:
-    """Content-addressed per-file result cache.
-
-    Keyed on SHA-256 of (rule-set signature, file path, source bytes), so
-    a cache entry is valid exactly as long as neither the file content
-    nor any simlint rule code changed — editing a rule module changes the
-    package signature and invalidates everything, with no version number
-    to forget to bump.  Entries are tiny JSON files under ``root``
-    (default ``.simlint_cache/``), sharded by the first two hex digits.
-
-    Only the per-file rules (SL001–SL009) are cacheable; the project
-    rules read cross-module state and always run fresh.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, path: str, source: bytes) -> str:
-        digest = hashlib.sha256()
-        digest.update(ruleset_signature().encode("ascii"))
-        digest.update(b"\x00")
-        digest.update(path.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(source)
-        return digest.hexdigest()
-
-    def _entry(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[List[Finding]]:
-        entry = self._entry(key)
-        try:
-            payload = json.loads(entry.read_text(encoding="utf-8"))
-            findings = [Finding(**item) for item in payload]
-        except (OSError, ValueError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return findings
-
-    def put(self, key: str, findings: List[Finding]) -> None:
-        entry = self._entry(key)
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps([f.to_dict() for f in findings])
-            tmp = entry.with_suffix(".tmp")
-            tmp.write_text(payload, encoding="utf-8")
-            tmp.replace(entry)  # atomic: parallel linters never read torn JSON
-        except OSError:
-            pass  # a read-only tree just means no warm runs
-
-
-#: Cached package signature (computed once per process).
-_RULESET_SIGNATURE: Optional[str] = None
-
-
-def ruleset_signature() -> str:
-    """SHA-256 over the simlint package's own source files.
-
-    Any edit to the analyzer, a rule, or the project pass changes this,
-    which invalidates every :class:`LintCache` entry automatically.
-    """
-    global _RULESET_SIGNATURE
-    if _RULESET_SIGNATURE is None:
-        digest = hashlib.sha256()
-        package_dir = Path(__file__).parent
-        for source_file in sorted(package_dir.glob("*.py")):
-            digest.update(source_file.name.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(source_file.read_bytes())
-            digest.update(b"\x00")
-        _RULESET_SIGNATURE = digest.hexdigest()
-    return _RULESET_SIGNATURE
-
-
-def lint_file(
-    path, module: Optional[str] = None, cache: Optional[LintCache] = None
-) -> List[Finding]:
-    """Lint one file on disk (optionally through a :class:`LintCache`)."""
+def lint_file(path, module: Optional[str] = None) -> List[Finding]:
+    """Lint one file on disk."""
     file_path = Path(path)
-    raw = file_path.read_bytes()
-    if cache is not None:
-        key = cache.key(str(file_path), raw)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    source = raw.decode("utf-8")
+    source = file_path.read_bytes().decode("utf-8")
     if module is None:
         module = module_name_for(list(file_path.parts))
-    findings = lint_source(
+    return lint_source(
         source,
         path=str(file_path),
         module=module,
         is_package=file_path.name == "__init__.py",
     )
-    if cache is not None:
-        cache.put(key, findings)
-    return findings
 
 
 def iter_python_files(paths: Iterable) -> List[Path]:
@@ -234,14 +143,9 @@ def iter_python_files(paths: Iterable) -> List[Path]:
     return ordered
 
 
-def lint_paths(paths: Iterable, cache_dir=None) -> List[Finding]:
-    """Lint every python file under ``paths`` (files or directories).
-
-    ``cache_dir`` (a path, or None to disable) routes per-file results
-    through a :class:`LintCache` so re-lints only pay for changed files.
-    """
-    cache = LintCache(cache_dir) if cache_dir is not None else None
+def lint_paths(paths: Iterable) -> List[Finding]:
+    """Lint every python file under ``paths`` (files or directories)."""
     findings: List[Finding] = []
     for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, cache=cache))
+        findings.extend(lint_file(file_path))
     return sorted(findings)

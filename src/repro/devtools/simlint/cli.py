@@ -48,15 +48,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "stream/metric/topology/layering/unit contracts)",
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        nargs="?",
-        const=".simlint_cache",
-        default=None,
-        help="cache per-file results under DIR (default .simlint_cache/), "
-        "keyed on content hash + rule-set signature",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -68,7 +59,6 @@ def run(
     fmt: str = "text",
     list_rules: bool = False,
     project: bool = False,
-    cache: Optional[str] = None,
 ) -> int:
     """Lint ``paths`` and print a report; exit code 1 iff findings."""
     if list_rules:
@@ -80,7 +70,7 @@ def run(
         return 0
     targets = paths or [str(default_target())]
     try:
-        findings = lint_paths(targets, cache_dir=cache)
+        findings = lint_paths(targets)
         if project:
             from .project_rules import lint_project
 
@@ -105,5 +95,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         fmt=args.format,
         list_rules=args.list_rules,
         project=args.project,
-        cache=args.cache,
     )

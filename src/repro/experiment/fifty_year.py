@@ -97,6 +97,30 @@ class FiftyYearConfig:
     model_succession: bool = False
     attachment: AttachmentPolicy = AttachmentPolicy.ANY_COMPATIBLE
 
+    def __post_init__(self) -> None:
+        # Every entry point (CLI, ScenarioTask, HTTP) builds a config, so
+        # bad input fails here with one message instead of mid-run.
+        if self.n_154_devices > 0:
+            ieee802154.frame_bytes(self.payload_bytes)
+        if self.horizon <= 0.0:
+            raise ValueError("horizon must be positive")
+        if self.report_interval <= 0.0:
+            raise ValueError("report_interval must be positive")
+        if not 0.0 <= self.renewal_miss_probability <= 1.0:
+            raise ValueError("renewal_miss_probability must be in [0, 1]")
+        for name in (
+            "n_154_devices",
+            "n_lora_devices",
+            "payload_bytes",
+            "n_owned_gateways",
+            "initial_hotspots",
+            "hotspot_arrivals_per_year",
+            "wallet_credits",
+            "device_additions_per_year",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class ArmResult:

@@ -110,10 +110,6 @@ class Backhaul(Entity):
         """Natural outages begun so far (registry-backed)."""
         return self._c_outages.value
 
-    @outages.setter
-    def outages(self, value: int) -> None:
-        self._c_outages.value = value
-
     def carries_traffic(self) -> bool:
         """True if a packet offered right now would get through.
 

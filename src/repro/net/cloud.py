@@ -198,18 +198,10 @@ class CloudEndpoint(Entity):
         """Domain lease renewals attempted (registry-backed)."""
         return self._c_renewals.value
 
-    @domain_renewals.setter
-    def domain_renewals(self, value: int) -> None:
-        self._c_renewals.value = value
-
     @property
     def missed_renewals(self) -> int:
         """Renewals fumbled, taking the page dark (registry-backed)."""
         return self._c_missed_renewals.value
-
-    @missed_renewals.setter
-    def missed_renewals(self, value: int) -> None:
-        self._c_missed_renewals.value = value
 
     # ------------------------------------------------------------------
     # The paper's uptime metric

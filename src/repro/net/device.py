@@ -113,8 +113,8 @@ class EdgeDevice(Entity):
 
         # Duty-cycle accounting lives in the run's metrics registry —
         # one labelled instrument per outcome, registered once here and
-        # bumped by direct reference in the warm path.  The legacy
-        # attribute names remain as read/write properties below.
+        # bumped by direct reference in the warm path.  The attribute
+        # names below are read-only views of these instruments.
         metrics = sim.metrics
         self._c_attempts = metrics.counter(
             "net_reports_attempted_total", tier=self.TIER, entity=self.name
@@ -307,54 +307,30 @@ class EdgeDevice(Entity):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    # Compatibility views over the registry-backed counters.  Setters
-    # exist because corruption-injection tests (and any legacy caller)
-    # assign these directly; the write lands in the same instrument the
-    # duty cycle bumps, so there is exactly one source of truth.
     @property
     def attempts(self) -> int:
         """Scheduled reports attempted (registry-backed)."""
         return self._c_attempts.value
-
-    @attempts.setter
-    def attempts(self, value: int) -> None:
-        self._c_attempts.value = value
 
     @property
     def delivered(self) -> int:
         """Reports that reached a recording endpoint (registry-backed)."""
         return self._c_delivered.value
 
-    @delivered.setter
-    def delivered(self, value: int) -> None:
-        self._c_delivered.value = value
-
     @property
     def energy_denied(self) -> int:
         """Reports skipped for lack of harvested energy (registry-backed)."""
         return self._c_energy_denied.value
-
-    @energy_denied.setter
-    def energy_denied(self, value: int) -> None:
-        self._c_energy_denied.value = value
 
     @property
     def no_gateway(self) -> int:
         """Reports with no live compatible gateway in range (registry-backed)."""
         return self._c_no_gateway.value
 
-    @no_gateway.setter
-    def no_gateway(self, value: int) -> None:
-        self._c_no_gateway.value = value
-
     @property
     def radio_lost(self) -> int:
         """Reports lost on the radio link (registry-backed)."""
         return self._c_radio_lost.value
-
-    @radio_lost.setter
-    def radio_lost(self, value: int) -> None:
-        self._c_radio_lost.value = value
 
     @property
     def delivery_rate(self) -> float:

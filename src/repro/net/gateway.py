@@ -53,9 +53,9 @@ class Gateway(Entity):
         self.role = role
         self.blocklist: Set[str] = set()
         # Per-hop packet accounting in the run's metrics registry; the
-        # legacy attribute names remain as read/write properties below,
-        # and the invariant auditor's link-conservation check reads the
-        # same instruments the forwarding path writes.
+        # attribute names below are read-only views of these
+        # instruments, and the invariant auditor's link-conservation
+        # check reads the same instruments the forwarding path writes.
         metrics = sim.metrics
         self._c_received = metrics.counter(
             "net_packets_received_total", tier=self.TIER, entity=self.name
@@ -164,52 +164,30 @@ class Gateway(Entity):
         self._c_drop_backhaul.value += count
         return 0
 
-    # Compatibility views over the registry-backed counters (setters for
-    # corruption-injection tests; reads and writes share one instrument).
     @property
     def packets_received(self) -> int:
         """Radio-decoded packets accepted (registry-backed)."""
         return self._c_received.value
-
-    @packets_received.setter
-    def packets_received(self, value: int) -> None:
-        self._c_received.value = value
 
     @property
     def packets_forwarded(self) -> int:
         """Packets that reached a recording endpoint (registry-backed)."""
         return self._c_forwarded.value
 
-    @packets_forwarded.setter
-    def packets_forwarded(self, value: int) -> None:
-        self._c_forwarded.value = value
-
     @property
     def drops_blocklist(self) -> int:
         """Packets refused by the forwarding blocklist (registry-backed)."""
         return self._c_drop_blocklist.value
-
-    @drops_blocklist.setter
-    def drops_blocklist(self, value: int) -> None:
-        self._c_drop_blocklist.value = value
 
     @property
     def drops_backhaul(self) -> int:
         """Packets lost to a down backhaul (registry-backed)."""
         return self._c_drop_backhaul.value
 
-    @drops_backhaul.setter
-    def drops_backhaul(self, value: int) -> None:
-        self._c_drop_backhaul.value = value
-
     @property
     def drops_endpoint(self) -> int:
         """Packets refused by a dark endpoint (registry-backed)."""
         return self._c_drop_endpoint.value
-
-    @drops_endpoint.setter
-    def drops_endpoint(self, value: int) -> None:
-        self._c_drop_endpoint.value = value
 
     def commissioning_hours(self) -> float:
         """Labor to stand up a replacement for this gateway.
@@ -298,10 +276,6 @@ class ThirdPartyGateway(Gateway):
     def drops_unpaid(self) -> int:
         """Packets refused because the prepaid wallet was dry (registry-backed)."""
         return self._c_drop_unpaid.value
-
-    @drops_unpaid.setter
-    def drops_unpaid(self, value: int) -> None:
-        self._c_drop_unpaid.value = value
 
     def receive(self, packet: Packet) -> bool:
         if not self.hears():

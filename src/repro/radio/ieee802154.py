@@ -20,6 +20,8 @@ PHR_BYTES: int = 1
 MAX_PSDU_BYTES: int = 127
 MAC_OVERHEAD_BYTES: int = 11  # FCF + seq + short addressing
 FCS_BYTES: int = 2
+#: Largest MAC payload one data frame can carry.
+MAX_PAYLOAD_BYTES: int = MAX_PSDU_BYTES - MAC_OVERHEAD_BYTES - FCS_BYTES
 
 
 def frame_bytes(payload_bytes: int) -> int:
@@ -56,7 +58,7 @@ def default_spec(tx_power_dbm: float = 0.0) -> RadioSpec:
         sensitivity_dbm=-100.0,
         bitrate_bps=BITRATE_BPS,
         per_slope_db=1.2,
-        max_payload_bytes=MAX_PSDU_BYTES - MAC_OVERHEAD_BYTES - FCS_BYTES,
+        max_payload_bytes=MAX_PAYLOAD_BYTES,
     )
 
 

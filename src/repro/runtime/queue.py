@@ -425,25 +425,6 @@ def _execute_pool(
         pool.shutdown(wait=True)
 
 
-def static_chunksize(runs: int, workers: int) -> int:
-    """The PR-3 static ``pool.map`` chunk formula, kept as the benchmark
-    baseline: four chunks per worker, fixed before the first result."""
-    return max(1, math.ceil(runs / (4 * workers)))
-
-
-def measure_dispatch_overhead(report: ExecutionReport, wall_clock_s: float) -> float:
-    """Mean per-run scheduling overhead in seconds.
-
-    Wall clock not accounted for by the runs themselves, divided by the
-    number of runs — the figure ``bench_mc_sharding`` tracks.
-    """
-    work_s = sum(getattr(r, "wall_clock_s", 0.0) for r in report.results)
-    runs = len(report.results) + len(report.failures)
-    if runs == 0:
-        return 0.0
-    return max(0.0, wall_clock_s - work_s) / runs
-
-
 __all__ = [
     "ExecutionReport",
     "ExecutionStats",
@@ -453,7 +434,5 @@ __all__ = [
     "MonteCarloExecutionError",
     "TARGET_CHUNK_S",
     "execute_runs",
-    "measure_dispatch_overhead",
     "resolve_workers",
-    "static_chunksize",
 ]

@@ -209,7 +209,8 @@ def parse_request(
 
     Raises :class:`RequestError` (→ HTTP 400) with a field-level message
     on anything malformed: unknown fields, wrong types, out-of-range
-    values, unknown scenarios, bad fault plans, reserved overrides.
+    values, unknown scenarios, bad fault plans, reserved overrides, and
+    overrides the scenario's config rejects.
     """
     if endpoint not in ("run", "mc"):
         raise RequestError(f"unknown endpoint {endpoint!r}")
@@ -235,7 +236,7 @@ def parse_request(
             f"(this build serves version {REQUEST_FORMAT_VERSION})"
         )
 
-    from ..experiment.scenarios import SCENARIOS
+    from ..experiment.scenarios import SCENARIOS, scenario_config
 
     scenario = payload.get("scenario")
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
@@ -274,6 +275,21 @@ def parse_request(
                 f"(not a FiftyYearConfig field)"
             )
         pairs.append((name, _normalize_override(field, raw_overrides[name])))
+    # The config's own invariants (payload fits the PSDU, probabilities,
+    # counts) reject here, before a pool execution is spent on them.
+    # Without overrides the config is a registered scenario with the
+    # positive horizon and cadence checked above, so it cannot fail and
+    # the cache-hit path skips building it.
+    if pairs:
+        try:
+            scenario_config(
+                scenario,
+                horizon=units.years(years),
+                report_interval=units.days(report_days),
+                overrides=pairs,
+            )
+        except ValueError as exc:
+            raise RequestError(str(exc)) from exc
 
     raw_faults = payload.get("faults")
     plan: Optional[FaultPlan] = None

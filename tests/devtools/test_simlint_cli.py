@@ -117,14 +117,3 @@ class TestProjectMode:
         out = capsys.readouterr().out
         for rule_id in ("SL010", "SL011", "SL012", "SL013", "SL014"):
             assert rule_id in out
-
-
-class TestCacheFlag:
-    def test_cache_flag_populates_and_reuses(self, capsys, tmp_path):
-        cache_dir = tmp_path / "lintcache"
-        target = str(FIXTURES / "clean.py")
-        assert main(["lint", "--cache", str(cache_dir), target]) == 0
-        capsys.readouterr()
-        entries = list(cache_dir.rglob("*.json"))
-        assert len(entries) == 1
-        assert main(["lint", "--cache", str(cache_dir), target]) == 0

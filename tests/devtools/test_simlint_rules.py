@@ -10,7 +10,6 @@ from repro.devtools.simlint import (
     PARSE_ERROR_RULE,
     RULES,
     Finding,
-    LintCache,
     get_rule,
     iter_python_files,
     lint_file,
@@ -364,50 +363,3 @@ class TestFileDiscovery:
         relative = tmp_path / "." / "mod.py"
         files = iter_python_files([relative, tmp_path / "mod.py"])
         assert files == [relative]
-
-
-class TestLintCache:
-    def test_roundtrip_preserves_findings(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import random\nx = random.random()\n")
-        cache = LintCache(tmp_path / "cache")
-        cold = lint_file(target, cache=cache)
-        warm = lint_file(target, cache=cache)
-        assert cold == warm
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_content_change_invalidates(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        cache = LintCache(tmp_path / "cache")
-        assert lint_file(target, cache=cache) == []
-        target.write_text("import random\n")
-        assert [f.rule for f in lint_file(target, cache=cache)] == ["SL001"]
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        cache = LintCache(tmp_path / "cache")
-        key = cache.key(str(target), target.read_bytes())
-        lint_file(target, cache=cache)
-        cache._entry(key).write_text("not json")
-        assert lint_file(target, cache=cache) == []
-
-    def test_warm_run_is_at_least_5x_faster(self, tmp_path):
-        import time
-
-        src_repro = Path(__file__).parents[2] / "src" / "repro"
-        cache_dir = tmp_path / "cache"
-
-        start = time.perf_counter()
-        cold = lint_paths([src_repro], cache_dir=cache_dir)
-        cold_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        warm = lint_paths([src_repro], cache_dir=cache_dir)
-        warm_elapsed = time.perf_counter() - start
-
-        assert cold == warm == []
-        assert warm_elapsed * 5 <= cold_elapsed, (
-            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s"
-        )

@@ -7,6 +7,7 @@ import pytest
 from repro.core import units
 from repro.core.policy import AttachmentPolicy
 from repro.experiment import FiftyYearConfig, FiftyYearExperiment
+from repro.radio.ieee802154 import MAX_PAYLOAD_BYTES
 
 
 def small_config(**overrides):
@@ -21,6 +22,37 @@ def small_config(**overrides):
         renewal_miss_probability=0.0,
     )
     return replace(base, **overrides)
+
+
+class TestConfigValidation:
+    def test_payload_at_psdu_limit_accepted(self):
+        config = small_config(payload_bytes=MAX_PAYLOAD_BYTES)
+        assert config.payload_bytes == MAX_PAYLOAD_BYTES
+
+    def test_payload_over_psdu_limit_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 802.15.4 PSDU"):
+            small_config(payload_bytes=MAX_PAYLOAD_BYTES + 1)
+
+    def test_lora_only_fleet_skips_psdu_check(self):
+        config = small_config(n_154_devices=0, payload_bytes=MAX_PAYLOAD_BYTES + 1)
+        assert config.payload_bytes == MAX_PAYLOAD_BYTES + 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 0.0),
+            ("report_interval", -1.0),
+            ("renewal_miss_probability", 1.5),
+            ("renewal_miss_probability", -0.1),
+            ("n_lora_devices", -1),
+            ("initial_hotspots", -3),
+            ("wallet_credits", -1),
+            ("hotspot_arrivals_per_year", -0.5),
+        ],
+    )
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
 
 
 class TestBuild:

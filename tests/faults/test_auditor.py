@@ -54,7 +54,7 @@ class TestCleanRuns:
 class TestCorruptionDetection:
     def test_gateway_counter_corruption(self):
         sim, net, auditor = _audited_testbed()
-        net.gateways[0].packets_forwarded += 7
+        net.gateways[0]._c_forwarded.value += 7
         found = auditor.check_now()
         checks = {(v.check, v.entity) for v in found}
         assert ("link-conservation", net.gateways[0].name) in checks
@@ -63,7 +63,7 @@ class TestCorruptionDetection:
     def test_device_loss_accounting_corruption(self):
         sim, net, auditor = _audited_testbed()
         device = net.devices[0]
-        device.delivered = device.attempts + 1
+        device._c_delivered.value = device.attempts + 1
         found = auditor.check_now()
         assert any(
             v.check == "link-conservation" and v.entity == device.name
@@ -119,7 +119,7 @@ class TestCorruptionDetection:
 class TestStrictMode:
     def test_strict_raises_with_structured_violation(self):
         sim, net, auditor = _audited_testbed(strict=True)
-        net.gateways[1].packets_received += 1
+        net.gateways[1]._c_received.value += 1
         with pytest.raises(InvariantViolationError) as excinfo:
             auditor.check_now()
         violation = excinfo.value.violation
@@ -131,8 +131,8 @@ class TestStrictMode:
 
     def test_collect_mode_accumulates_instead(self):
         sim, net, auditor = _audited_testbed(strict=False)
-        net.gateways[0].packets_received += 1
-        net.gateways[1].packets_received += 1
+        net.gateways[0]._c_received.value += 1
+        net.gateways[1]._c_received.value += 1
         first_sweep = auditor.check_now()
         assert len(first_sweep) >= 2
         assert auditor.violations == first_sweep

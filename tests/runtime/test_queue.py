@@ -12,7 +12,7 @@ from repro.runtime import (
     execute_runs,
     resolve_workers,
 )
-from repro.runtime.queue import MAX_CHUNK, static_chunksize
+from repro.runtime.queue import MAX_CHUNK
 from repro.runtime.runner import _execute, derive_seeds
 
 
@@ -203,9 +203,3 @@ class TestBrokenPoolRecovery:
         assert [f.index for f in report.failures] == [2]
         assert "worker process died" in report.failures[0].error
         assert [r.index for r in report.results] == [0, 1, 3, 4, 5]
-
-
-class TestStaticChunksize:
-    def test_pr3_formula_preserved(self):
-        assert static_chunksize(100, 4) == 7
-        assert static_chunksize(1, 8) == 1

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import run_async
 from repro.experiment.scenarios import SCENARIOS
 from repro.faults.plans import pinned_chaos_plan
+from repro.radio.ieee802154 import MAX_PAYLOAD_BYTES
 from repro.serve import (
     ResponseCache,
     ScenarioService,
@@ -36,7 +37,7 @@ SCENARIO_NAMES = sorted(SCENARIOS)
 OVERRIDES = st.fixed_dictionaries(
     {},
     optional={
-        "payload_bytes": st.integers(min_value=1, max_value=128),
+        "payload_bytes": st.integers(min_value=1, max_value=MAX_PAYLOAD_BYTES),
         "storage_j": st.floats(min_value=0.5, max_value=10.0),
         "maintain_gateways": st.booleans(),
         "harvester": st.sampled_from(["cathodic", "solar", "vibration"]),

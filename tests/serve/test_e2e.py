@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import http_request, open_keepalive, run_async
 from repro.cli import main as cli_main
 from repro.faults.plans import pinned_chaos_plan
+from repro.radio.ieee802154 import MAX_PAYLOAD_BYTES
 from repro.serve import (
     HttpServer,
     ResponseCache,
@@ -229,6 +230,35 @@ def test_http_surface(tmp_path):
 
     status, _headers, body = results["draining"]
     assert status == 503 and body == b"draining\n"
+
+
+def test_payload_limit_is_enforced_at_the_boundary():
+    """An oversize payload is a 400 before any pool execution; the
+    largest payload that fits the PSDU still runs."""
+
+    def payload(size):
+        return {
+            "scenario": "owned-only",
+            "seed": 2021,
+            "years": 0.1,
+            "report_days": 5.0,
+            "overrides": {"payload_bytes": size},
+        }
+
+    async def scenario(server):
+        port = server.port
+        over = await post_json(port, "/v1/run", payload(MAX_PAYLOAD_BYTES + 1))
+        after_over = server.service.metrics_text()
+        fits = await post_json(port, "/v1/run", payload(MAX_PAYLOAD_BYTES))
+        return over, after_over, fits
+
+    over, after_over, fits = run_async(_serve(scenario))
+    status, _headers, body = over
+    assert status == 400
+    assert "exceeds 802.15.4 PSDU" in json.loads(body)["error"]
+    assert "serve_executions_total 0" in after_over
+    assert fits[0] == 200
+    assert fits[1]["x-cache"] == "miss"
 
 
 def test_golden_fixture_matches_direct_compute():
