@@ -67,6 +67,12 @@ def _write_metrics_file(args: argparse.Namespace, per_run, merged=None) -> None:
     print(f"metrics: {lines} snapshot(s) -> {args.metrics}")
 
 
+def _config_error(args: argparse.Namespace, exc: ValueError) -> int:
+    """Report a rejected scenario config as a one-line usage error."""
+    print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiment import SCENARIOS, scenario_config
 
@@ -77,12 +83,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
     plan = _load_fault_plan(args.faults)
-    config = scenario_config(
-        args.scenario,
-        args.seed,
-        horizon=units.years(args.years),
-        report_interval=units.days(args.report_days),
-    )
+    try:
+        config = scenario_config(
+            args.scenario,
+            args.seed,
+            horizon=units.years(args.years),
+            report_interval=units.days(args.report_days),
+        )
+    except ValueError as exc:
+        return _config_error(args, exc)
     from .experiment import FiftyYearExperiment
 
     experiment = FiftyYearExperiment(config)
@@ -166,7 +175,7 @@ def _print_study(args: argparse.Namespace, study, with_faults: bool) -> None:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    from .experiment import SCENARIOS
+    from .experiment import SCENARIOS, scenario_config
     from .runtime import MonteCarloRunner, ScenarioTask, resolve_workers, run_shard
 
     if args.scenario not in SCENARIOS:
@@ -184,10 +193,23 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     plan = _load_fault_plan(args.faults)
+    horizon = units.years(args.years)
+    report_interval = units.days(args.report_days)
+    try:
+        # Every run shares these fields, so one config checks them all
+        # before any worker starts.
+        scenario_config(
+            args.scenario,
+            args.base_seed,
+            horizon=horizon,
+            report_interval=report_interval,
+        )
+    except ValueError as exc:
+        return _config_error(args, exc)
     task = ScenarioTask(
         scenario=args.scenario,
-        horizon=units.years(args.years),
-        report_interval=units.days(args.report_days),
+        horizon=horizon,
+        report_interval=report_interval,
         faults=plan,
         audit=args.audit,
     )

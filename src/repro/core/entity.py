@@ -47,7 +47,7 @@ class Entity:
 
     Every lifecycle transition and dependency rewiring bumps
     ``sim.topology_version``, the invalidation signal for caches derived
-    from the entity graph (e.g. per-device candidate gateway lists).
+    from the entity graph (e.g. per-device link tables).
     """
 
     TIER = "entity"  # subclasses override: device | gateway | backhaul | cloud

@@ -37,6 +37,10 @@ class Capacitor:
             raise StorageError("leakage_per_day must be in [0, 1)")
         if not 0.0 <= self.stored_j <= self.capacity_j:
             raise StorageError("stored_j must be within [0, capacity_j]")
+        # Leak factor of the last (leakage_per_day, dt) pair: a periodic
+        # duty cycle leaks over the same dt report after report.
+        self._leak_key = None
+        self._leak_factor = 1.0
 
     def charge(self, energy_j: float) -> float:
         """Add energy; returns the amount actually absorbed (clipped)."""
@@ -59,8 +63,11 @@ class Capacitor:
         """Apply leakage over ``dt`` seconds."""
         if dt < 0.0:
             raise StorageError(f"dt must be non-negative, got {dt}")
-        days = units.as_days(dt)
-        self.stored_j *= (1.0 - self.leakage_per_day) ** days
+        key = (self.leakage_per_day, dt)
+        if key != self._leak_key:
+            self._leak_key = key
+            self._leak_factor = (1.0 - self.leakage_per_day) ** units.as_days(dt)
+        self.stored_j *= self._leak_factor
 
     @property
     def fill_fraction(self) -> float:

@@ -93,10 +93,13 @@ class Gateway(Entity):
     def hears(self) -> bool:
         """True if the gateway can currently receive radio traffic.
 
-        Hot-path contract: :meth:`EdgeDevice._report` calls this lazily
-        on the few links it actually tries (not the whole candidate
-        list), every report, for fifty simulated years — keep it O(1)
-        and side-effect free.
+        Contract: it may change only on a transition that bumps
+        ``sim.topology_version`` (lifecycle, degrade window, rewiring).
+        :class:`~repro.net.device.EdgeDevice` and
+        :class:`~repro.net.cohort.DeviceCohort` call it when they
+        rebuild a link table, once per version, and never per report;
+        :meth:`receive` checks it per packet.  Keep it O(1) and
+        side-effect free.
         """
         return self.alive and self.forced_degradations == 0
 

@@ -120,7 +120,7 @@ class GatewayIndex:
     transitions (deploy/fail/retire/rewire) that can change the
     population or its ability to hear.  Between bumps the index is
     exact, not approximate, by the same argument as the device
-    candidate cache.
+    link table.
 
     ``nearest_hearing`` answers the device hot path: the ``count``
     nearest gateways currently able to receive

@@ -4,6 +4,10 @@ The paper's initial devices are transmit-only monitoring sensors: up to
 24-byte payloads (the Helium data-credit accounting unit), a reading,
 and a signature the device can never rotate — which is why §4.1 calls
 their longitudinal trust "limited".
+
+All three records are frozen *slotted* dataclasses: a fifty-year run's
+endpoint keeps hundreds of thousands of packet/reading/delivery triples,
+and a per-instance ``__dict__`` would be most of their memory.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ CREDIT_UNIT_BYTES: int = 24
 _sequence = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     """One sensor observation."""
 
@@ -27,7 +31,7 @@ class Reading:
     unit: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """An uplink frame from a transmit-only device.
 
@@ -40,7 +44,7 @@ class Packet:
     payload_bytes: int
     reading: Optional[Reading] = None
     signed_with: str = ""
-    sequence: int = field(default_factory=lambda: next(_sequence))
+    sequence: int = field(default_factory=_sequence.__next__)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -58,7 +62,7 @@ class Packet:
         return -(-self.payload_bytes // CREDIT_UNIT_BYTES)  # ceil div
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """A packet's arrival at the backend, as logged by the endpoint."""
 

@@ -27,6 +27,17 @@ class TestCapacitor:
         cap.leak(units.days(2.0))
         assert cap.stored_j == pytest.approx(0.9 * 0.81)
 
+    def test_reused_leak_factor_is_the_same_pow(self):
+        # The factor is reused while (leakage_per_day, dt) repeats, so a
+        # changed dt or a changed leakage rate must recompute it exactly.
+        cap = Capacitor(capacity_j=1.0, stored_j=1.0, leakage_per_day=0.01)
+        expected = 1.0
+        for leakage, dt in [(0.01, 21600.0)] * 3 + [(0.01, 3600.0), (0.2, 3600.0)]:
+            cap.leakage_per_day = leakage
+            cap.leak(dt)
+            expected *= (1.0 - leakage) ** units.as_days(dt)
+            assert cap.stored_j == expected
+
     def test_no_cycle_wear(self):
         cap = Capacitor(capacity_j=1.0)
         for _ in range(10000):

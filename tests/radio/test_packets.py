@@ -1,5 +1,8 @@
 """Tests for repro.radio.packets."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.radio import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading
@@ -39,3 +42,46 @@ class TestDeliveryRecord:
         packet = Packet("d", created_at=10.0, payload_bytes=24)
         record = DeliveryRecord(packet, received_at=12.5, via_gateway="g", via_backhaul="b")
         assert record.latency_s == 2.5
+
+
+class TestSlottedRecords:
+    """The records are frozen slotted dataclasses: no ``__dict__``, but
+    otherwise the same value semantics as before."""
+
+    def _records(self):
+        reading = Reading(kind="strain", value=1.5, unit="ue")
+        packet = Packet("d", 3.0, 24, reading=reading, signed_with="k")
+        record = DeliveryRecord(packet, received_at=4.0, via_gateway="g", via_backhaul="b")
+        return reading, packet, record
+
+    def test_fields_are_still_frozen(self):
+        reading, packet, record = self._records()
+        for instance, name in ((reading, "value"), (packet, "source"), (record, "received_at")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, name, 0)
+
+    def test_no_instance_dict(self):
+        for instance in self._records():
+            assert not hasattr(instance, "__dict__")
+            assert "__slots__" in type(instance).__dict__
+
+    def test_equal_packets_hash_equal(self):
+        reading = Reading(kind="strain", value=1.5, unit="ue")
+        a = Packet("d", 3.0, 24, reading=reading, sequence=7)
+        b = Packet("d", 3.0, 24, reading=Reading("strain", 1.5, "ue"), sequence=7)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(a, sequence=8)
+
+    def test_pickle_round_trip(self):
+        for instance in self._records():
+            clone = pickle.loads(pickle.dumps(instance))
+            assert clone == instance
+            assert type(clone) is type(instance)
+
+    def test_sequence_still_increases(self):
+        first = Packet("d", 0.0, 24).sequence
+        later = [Packet("d", 0.0, 24).sequence for _ in range(3)]
+        assert later == sorted(later)
+        assert first < later[0] and len(set(later)) == 3

@@ -90,6 +90,20 @@ class TestCommands:
         assert main(["mc", "moonbase", "--runs", "1"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "mc"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--years", "0"], "horizon must be positive"),
+            (["--years", "1", "--report-days", "0"], "report_interval must be positive"),
+        ],
+    )
+    def test_bad_config_is_a_one_line_usage_error(self, command, flags, message, capsys):
+        assert main([command, "as-designed", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {command}: error: {message}\n"
+        assert captured.out == ""
+
     def test_export(self, tmp_path, capsys):
         assert main(["export", "--out", str(tmp_path / "figs"), "--seed", "1"]) == 0
         out = capsys.readouterr().out
