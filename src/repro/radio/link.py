@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -191,8 +192,19 @@ def attempt_delivery(
     model: PathLossModel,
     distance_m: float,
     rng: np.random.Generator,
+    mean_loss_db: Optional[float] = None,
 ) -> bool:
-    """One stochastic packet trial over the link."""
-    loss = model.sample_loss_db(distance_m, spec.frequency_hz, rng)
-    rx = received_power_dbm(spec, loss)
-    return rng.random() < packet_success_probability(spec, rx)
+    """One stochastic packet trial over the link.
+
+    ``mean_loss_db``, when given, must be ``model.mean_loss_db(distance_m,
+    spec.frequency_hz)``: a caller that keeps it per link (a link table)
+    skips the ``log10``.  The draws and the IEEE-754 operations are the
+    same either way.
+    """
+    if mean_loss_db is None:
+        mean_loss_db = model.mean_loss_db(distance_m, spec.frequency_hz)
+    loss = mean_loss_db + model.shadowing_sigma_db * rng.standard_normal()
+    # received_power_dbm and packet_success_probability, written out:
+    # this is every engine's per-trial path.
+    margin = (spec.tx_power_dbm - loss) - spec.sensitivity_dbm
+    return rng.random() < 1.0 / (1.0 + math.exp(-margin / spec.per_slope_db))
