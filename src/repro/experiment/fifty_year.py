@@ -277,10 +277,7 @@ class FiftyYearExperiment:
             return
 
         # One shared spatial index over the live owned gateways; cell
-        # size tracks the device radio's coverage radius.  Replaces the
-        # old directory callable (a full alive-list rebuild per device
-        # per topology change) with nearest-hearing range queries —
-        # trace-identical, see GatewayIndex.
+        # size tracks the device radio's coverage radius.
         owned_index = GatewayIndex(
             self.sim,
             lambda: [g for g in self.owned_gateways if g.alive],

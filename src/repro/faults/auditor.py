@@ -23,9 +23,10 @@ Checks (each names the entity and sim-time when it trips):
   reality: total packets gateways claim to have forwarded equals the
   total deliveries endpoints actually recorded.
 * **cache-coherence** — topology-version-keyed caches (device link
-  tables, the Helium live-hotspot view) match a fresh recomputation
-  whenever they claim to be current: a link table's gateways by
-  identity, its distances and mean losses exactly.
+  tables, gateway-index hearing snapshots, the Helium live-hotspot
+  view) match a fresh recomputation whenever they claim to be current:
+  a link table's gateways by identity, its distances and mean losses
+  exactly.
 * **monotonicity** — the clock and ``topology_version`` never move
   backwards.
 
@@ -302,6 +303,25 @@ class InvariantAuditor:
 
     def _check_caches(self) -> None:
         version = self.sim.topology_version
+        # Indexes first: the link-table recomputations below take a
+        # snapshot of any index whose snapshot is stale.
+        indexes = {}
+        for entity in self.sim.entities:
+            index = getattr(entity, "gateway_index", None)
+            if index is not None:
+                indexes[id(index)] = index
+        for index in indexes.values():
+            if index._hearing_version != version:
+                continue  # a stale snapshot is retaken before any use
+            fresh_hearing = [g for g in index.provider() if g.hears()]
+            if [id(g) for g in index._hearing] != [id(g) for g in fresh_hearing]:
+                self._flag(
+                    "cache-coherence",
+                    None,
+                    f"gateway index hearing snapshot holds "
+                    f"{len(index._hearing)}, recomputation finds "
+                    f"{len(fresh_hearing)}",
+                )
         for entity in self.sim.entities:
             if getattr(entity, "TIER", None) != "device":
                 continue

@@ -23,7 +23,7 @@ skips them) is preserved.  The golden equivalence fixture in
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,14 @@ from ..energy.sources import EnergySource
 from ..radio.link import RadioSpec
 from ..radio.packets import Packet, Reading
 from ..reliability.distributions import LifetimeDistribution
-from .device import MAX_LINKS_TRIED, Link, first_decoder, link_table
+from .device import (
+    MAX_LINKS_TRIED,
+    Link,
+    first_decoder,
+    link_table,
+    outlives,
+    reach_sq,
+)
 from .gateway import Gateway
 from .geometry import Position
 from .topology import GatewayIndex
@@ -240,16 +247,21 @@ class DeviceCohort(Entity):
         self.lifetime_model = lifetime_model
         self.sensor_kind = sensor_kind
         self.member_names = [f"{self.name}.{i}" for i in range(self.count)]
-        self.gateway_index: Optional[GatewayIndex] = None
+        self._x = np.array([p.x for p in self.positions])
+        self._y = np.array([p.y for p in self.positions])
         self.death_at = np.full(self.count, np.inf)
 
         #: Per-member link tables: one ``(gateway, distance_m,
         #: mean_loss_db)`` triple per nearest hearing gateway, filled on
         #: a member's first report and kept exact by
-        #: :meth:`_sync_candidates`.
+        #: :meth:`_sync_candidates`, with each table's
+        #: :func:`~repro.net.device.reach_sq`.  Every filled table is
+        #: validated at the index epoch ``_links_epoch`` (-1: none yet).
         self._links: List[Optional[Tuple[Link, ...]]] = [None] * self.count
+        self._reach_sq = np.full(self.count, np.inf)
         self._links_version: int = -1
-        self._hearing: Set[Gateway] = set()
+        self._links_epoch: int = -1
+        self.gateway_index = None
 
         metrics = sim.metrics
         self._c_attempts = metrics.counter(
@@ -306,38 +318,45 @@ class DeviceCohort(Entity):
     # ------------------------------------------------------------------
     # Link tables
     # ------------------------------------------------------------------
+    @property
+    def gateway_index(self) -> Optional[GatewayIndex]:
+        """The shared spatial index the members discover gateways in."""
+        return self._gateway_index
+
+    @gateway_index.setter
+    def gateway_index(self, index: Optional[GatewayIndex]) -> None:
+        self._gateway_index = index
+        self._links = [None] * self.count
+        self._links_version = -1
+        self._links_epoch = -1
+
     def _sync_candidates(self, index: GatewayIndex) -> None:
         """Reconcile the per-member link tables with the topology.
 
         Runs once per ``topology_version`` bump; between bumps no
         gateway's ``hears()`` can flip, so a filled table stays exact
-        and the duty cycle never re-checks it.  A table survives a bump
-        under *shrink-only* change: if no gateway has newly become able
-        to hear, and every gateway in the table still hears, then the
-        member's nearest-hearing set is provably unchanged (survivors
-        keep their relative provider order, so distance ties still
-        resolve the same way, and anything outside the table was
-        already ranked below it).  Tables naming a gateway that stopped
-        hearing are dropped.  Any rebuild that *gains* a hearer — a
-        deployment, or a degradation lifted — drops every table,
-        because a newly hearing gateway may displace entries anywhere
-        in the fleet.
+        and the duty cycle never re-checks it.  Across a bump, a table
+        survives under the per-entity engine's rule,
+        :func:`~repro.net.device.outlives`, evaluated over every member
+        at once: it is dropped only if a gateway the index logged as
+        changed lies within its reach (members have no dependencies).
         """
         version = self.sim.topology_version
         if version == self._links_version:
             return
-        hearing = {g for g in index.population() if g.hears()}
-        if not hearing <= self._hearing:
-            self._links = [None] * self.count
-        else:
-            lost = self._hearing - hearing
-            if lost:
-                links = self._links
-                for i, table in enumerate(links):
-                    if table is not None and any(g in lost for g, _, _ in table):
-                        links[i] = None
-        self._hearing = hearing
         self._links_version = version
+        epoch = self._links_epoch
+        if epoch < 0:
+            self._links_epoch = index.epoch()  # no table was filled yet
+            return
+        changes = index.changes_since(epoch)
+        if not changes:
+            return
+        self._links_epoch = epoch + len(changes)
+        links = self._links
+        stale = ~outlives(self._x, self._y, self._reach_sq, changes)
+        for i in np.flatnonzero(stale).tolist():
+            links[i] = None
 
     def _fill_links(self, i: int, index: GatewayIndex) -> Tuple[Link, ...]:
         """Member ``i``'s link table from a fresh nearest-hearing query."""
@@ -348,6 +367,7 @@ class DeviceCohort(Entity):
             self.spec.frequency_hz,
         )
         self._links[i] = table
+        self._reach_sq[i] = reach_sq(position, table)
         return table
 
     def _packet(
@@ -402,7 +422,7 @@ class DeviceCohort(Entity):
         values = self.sim.rng("sensing").normal(
             loc=1.0, scale=0.05, size=n_approved
         )
-        index = self.gateway_index
+        index = self._gateway_index
         if index is None:
             self._c_no_gateway.value += n_approved
             return

@@ -13,7 +13,7 @@ armed at deployment.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,47 @@ def first_decoder(
         if attempt_delivery(spec, gateway.path_loss, distance_m, rng, mean_loss_db):
             return gateway
     return None
+
+
+def reach_sq(position: Position, links: Tuple[Link, ...]) -> float:
+    """How far a hearing change must lie for ``links`` to outlive it.
+
+    The squared distance from ``position`` to the table's last entry
+    when the table is full; +inf otherwise, so that any change at all
+    invalidates a table with room for another gateway.
+    """
+    if len(links) < MAX_LINKS_TRIED:
+        return math.inf
+    return position.distance_sq_to(links[-1][0].position)
+
+
+def outlives(x, y, reach, changes: Sequence[Gateway]):
+    """Whether a link table at ``(x, y)`` stays exact across ``changes``.
+
+    The survival rule both engines use.  ``reach`` is the table's
+    :func:`reach_sq`, and ``changes`` are the gateways a
+    :class:`~repro.net.topology.GatewayIndex` logged as having gained
+    or lost hearing since the table was validated.  The table survives
+    if every one of them lies strictly farther than its last entry.
+    Candidates rank by (distance², provider order), a changed gateway
+    outside the table's disk cannot rank above an entry inside it, and
+    the gateways inside the disk, with their relative order, are the
+    same as when the table was built: so are its first
+    ``MAX_LINKS_TRIED``.  The caller also checks that nothing else the
+    table was built from (the owner's dependencies) moved.
+
+    ``x``, ``y`` and ``reach`` may be floats (one device: returns a
+    bool) or numpy arrays (a cohort's members: returns a bool array).
+    The squared distance is the one :meth:`Position.distance_sq_to`
+    computes.
+    """
+    survives = True
+    for gateway in changes:
+        position = gateway.position
+        dx = x - position.x
+        dy = y - position.y
+        survives = survives & (dx * dx + dy * dy > reach)
+    return survives
 
 
 class EdgeDevice(Entity):
@@ -133,29 +174,32 @@ class EdgeDevice(Entity):
         self.signing_key = f"factory-key:{self.name}"
 
         #: The device's only topology cache: the link table of its first
-        #: ``MAX_LINKS_TRIED`` hearing candidates, valid while the
-        #: simulation's ``topology_version`` is unchanged (bumped by
-        #: every entity lifecycle transition, degrade window and
-        #: dependency rewiring).  See :meth:`_report`.
+        #: ``MAX_LINKS_TRIED`` hearing candidates, checked once per
+        #: ``topology_version`` (bumped by every entity lifecycle
+        #: transition, degrade window and dependency rewiring) and
+        #: rebuilt only when the bump can change it.  See
+        #: :meth:`_revalidate_links`.
         self._links: Tuple[Link, ...] = ()
         self._links_version: int = -1
+        #: What the table was validated against: the index epoch (-1:
+        #: never built), the dependencies with their ``hears()`` states,
+        #: and the table's :func:`reach_sq`.
+        self._links_epoch: int = -1
+        self._links_dependencies: List[tuple] = []
+        self._links_reach_sq: float = math.inf
         # The streams the duty cycle draws from, fetched once: the same
         # generators ``sim.rng(name)`` returns on every call.
         self._radio_rng = sim.rng("radio")
         self._sensing_rng = sim.rng("sensing")
         self._energy_rng = sim.rng("energy")
 
-        #: Optional dynamic discovery: a zero-argument callable returning
-        #: the current gateway population (e.g. a Helium network's live
-        #: hotspots).  When set, transmissions consider these gateways in
-        #: addition to static ``depends_on`` links — the device relies on
-        #: *properties* of infrastructure, not specific instances.
-        self.gateway_directory = None
-        #: Optional spatial discovery: a
-        #: :class:`~repro.net.topology.GatewayIndex` answering
-        #: nearest-hearing range queries.  Preferred over the directory
-        #: when both are set — same candidate semantics, O(log-ish)
-        #: instead of a full population rebuild per topology change.
+        #: Optional dynamic discovery: a
+        #: :class:`~repro.net.topology.GatewayIndex` over a gateway
+        #: population (e.g. a Helium network's live hotspots) answering
+        #: nearest-hearing queries.  When set, transmissions consider
+        #: these gateways in addition to static ``depends_on`` links —
+        #: the device relies on *properties* of infrastructure, not
+        #: specific instances.
         self.gateway_index = None
 
         # Duty-cycle accounting lives in the run's metrics registry —
@@ -217,16 +261,6 @@ class EdgeDevice(Entity):
     # The duty cycle
     # ------------------------------------------------------------------
     @property
-    def gateway_directory(self):
-        """The dynamic-discovery callable (see ``__init__``), or None."""
-        return self._gateway_directory
-
-    @gateway_directory.setter
-    def gateway_directory(self, directory) -> None:
-        self._gateway_directory = directory
-        self._links_version = -1
-
-    @property
     def gateway_index(self):
         """The spatial-discovery index (see ``__init__``), or None."""
         return self._gateway_index
@@ -235,6 +269,7 @@ class EdgeDevice(Entity):
     def gateway_index(self, index) -> None:
         self._gateway_index = index
         self._links_version = -1
+        self._links_epoch = -1
 
     def candidate_gateways(self) -> List[Gateway]:
         """Gateways this device may try, ordered nearest-first.
@@ -246,16 +281,15 @@ class EdgeDevice(Entity):
         all, the device is stranded rather than silently rebound to a
         later dependency.
 
-        An uncached query: :meth:`fresh_links` calls it once per
-        topology version.  Entries may not hear — the link table keeps
-        only the first ``MAX_LINKS_TRIED`` that do.
+        An uncached query: :meth:`fresh_links` calls it on every
+        rebuild.  Entries may not hear — the link table keeps only the
+        first ``MAX_LINKS_TRIED`` that do.
 
-        With a ``gateway_index`` attached, discovery asks the index for
-        the ``MAX_LINKS_TRIED`` nearest gateways currently able to hear
-        instead of materialising the whole population.  Because the
-        link table drops non-hearing candidates and keeps at most
-        ``MAX_LINKS_TRIED`` hearing ones, it is identical to the one
-        built from the full directory.
+        With a ``gateway_index`` attached, discovery adds the index's
+        ``MAX_LINKS_TRIED`` nearest gateways currently able to hear.
+        Because the link table drops non-hearing candidates and keeps
+        at most ``MAX_LINKS_TRIED`` hearing ones, it is identical to the
+        one built from the index's whole population.
         """
         candidates = list(self.depends_on)
         if self.attachment is AttachmentPolicy.INSTANCE_BOUND:
@@ -266,8 +300,6 @@ class EdgeDevice(Entity):
                     self.position, count=MAX_LINKS_TRIED
                 )
             )
-        elif self._gateway_directory is not None:
-            candidates.extend(self._gateway_directory())
         seen = set()
         gateways = []
         technology = self.technology
@@ -297,11 +329,41 @@ class EdgeDevice(Entity):
                     break
         return link_table(self.position, hearing, self.spec.frequency_hz)
 
+    def _revalidate_links(self) -> None:
+        """Bring the link table up to the current topology version.
+
+        The table is kept if the bump provably cannot change it: the
+        dependencies, in order and with their ``hears()`` states, are
+        the ones it was built from, and (unless the device is
+        instance-bound) it :func:`outlives` every gateway the index
+        logged as changed since.  Otherwise it is rebuilt from
+        :meth:`fresh_links`.
+        """
+        index = self._gateway_index
+        if self.attachment is AttachmentPolicy.INSTANCE_BOUND:
+            index = None
+        dependencies = [
+            (d, isinstance(d, Gateway) and d.hears()) for d in self.depends_on
+        ]
+        epoch = self._links_epoch
+        if epoch >= 0 and dependencies == self._links_dependencies:
+            if index is None:
+                return
+            changes = index.changes_since(epoch)
+            position = self.position
+            if outlives(position.x, position.y, self._links_reach_sq, changes):
+                self._links_epoch = epoch + len(changes)
+                return
+        self._links = self.fresh_links()
+        self._links_dependencies = dependencies
+        self._links_reach_sq = reach_sq(self.position, self._links)
+        self._links_epoch = 0 if index is None else index.epoch()
+
     def _report(self) -> None:
         """One duty cycle: pay energy, sense, and try the link table.
 
-        The table is rebuilt only when ``topology_version`` moves.  That
-        is exact: every transition that can flip a gateway's
+        The table is revalidated only when ``topology_version`` moves.
+        That is exact: every transition that can flip a gateway's
         ``hears()`` bumps the version, so between bumps the first
         ``MAX_LINKS_TRIED`` hearing candidates are the links a lazy
         ``hears()`` check at report time would try.  The trials run in
@@ -316,7 +378,7 @@ class EdgeDevice(Entity):
         packet = self.make_packet()
         version = self.sim.topology_version
         if self._links_version != version:
-            self._links = self.fresh_links()
+            self._revalidate_links()
             self._links_version = version
         links = self._links
         if not links:

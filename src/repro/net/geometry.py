@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -166,14 +166,8 @@ class SpatialGrid:
         hits.sort(key=lambda pair: pair[0])
         return [item for __, item in hits]
 
-    def nearest(
-        self,
-        x: float,
-        y: float,
-        count: int = 1,
-        where: Optional[Callable] = None,
-    ) -> List:
-        """Up to ``count`` items nearest ``(x, y)``, optionally filtered.
+    def nearest(self, x: float, y: float, count: int = 1) -> List:
+        """Up to ``count`` items nearest ``(x, y)``.
 
         Expands square rings of cells outward until the ``count``-th
         best candidate is provably closer than anything unscanned (every
@@ -202,8 +196,6 @@ class SpatialGrid:
                 if not bucket:
                     continue
                 for index, ix, iy, item in bucket:
-                    if where is not None and not where(item):
-                        continue
                     dx = ix - x
                     dy = iy - y
                     found.append((dx * dx + dy * dy, index, item))

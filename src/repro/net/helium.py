@@ -202,6 +202,7 @@ class HeliumNetwork:
         self._asn_pool: List[int] = []
         self._live_cache: List[ThirdPartyGateway] = []
         self._live_cache_version: int = -1
+        self._live_scanned: int = 0  # roster entries the cache has seen
         self._live_index = None
         self._spawn_initial(initial_hotspots)
         self._schedule_arrival()
@@ -269,30 +270,36 @@ class HeliumNetwork:
     # Service interface
     # ------------------------------------------------------------------
     def live_hotspots(self) -> List[ThirdPartyGateway]:
-        """Hotspots currently up.
+        """Hotspots currently up, in roster order.
 
         Cached against the simulation's topology version: hotspot
         aliveness only changes through deploy/retire/fail transitions,
         each of which bumps the version, so between bumps the filtered
-        list is provably current.  Callers treat the returned list as
-        read-only.
+        list is provably current.  A bump filters the previous list and
+        appends the live hotspots spawned since, without rescanning the
+        roster: the roster is append-only, every hotspot is deployed
+        before it joins it, and a dead hotspot never revives.  Callers
+        treat the returned list as read-only.
         """
         version = self.sim.topology_version
         if self._live_cache_version != version:
-            self._live_cache = [h for h in self.hotspots if h.alive]
+            roster = self.hotspots
+            live = [h for h in self._live_cache if h.alive]
+            live.extend(h for h in roster[self._live_scanned:] if h.alive)
+            self._live_scanned = len(roster)
+            self._live_cache = live
             self._live_cache_version = version
         return self._live_cache
 
     def live_index(self):
         """A shared spatial index over the live hotspots.
 
-        Devices attach this as their ``gateway_index`` instead of a
-        ``gateway_directory`` callable: it caches against the topology
-        version exactly like :meth:`live_hotspots` and indexes the same
-        population in the same order, so nearest-hearing queries break
-        distance ties identically to a scan of the live list.  The cell
-        size tracks the LoRa coverage radius at the planner's default
-        threshold.
+        Devices attach this as their ``gateway_index``.  It indexes
+        :meth:`live_hotspots`, a filtered view of the append-only
+        roster, so it meets the index's provider contract and
+        nearest-hearing queries break distance ties in roster order.
+        The cell size tracks the LoRa coverage radius at the planner's
+        default threshold.
         """
         if self._live_index is None:
             from ..radio.link import coverage_radius_m

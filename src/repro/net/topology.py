@@ -112,22 +112,32 @@ def associate_by_coverage(
 
 
 class GatewayIndex:
-    """A topology-version-cached spatial index over a gateway population.
+    """A spatial index over the hearing part of a gateway population.
 
     ``provider`` returns the population to index (a scenario's owned
-    gateways, a Helium network's hotspot roster); the grid is rebuilt
-    lazily whenever ``sim.topology_version`` moves — exactly the
-    transitions (deploy/fail/retire/rewire) that can change the
-    population or its ability to hear.  Between bumps the index is
-    exact, not approximate, by the same argument as the device
-    link table.
+    gateways, a Helium network's hotspot roster).  **Provider
+    contract:** a gateway keeps its position, and gateways present at
+    two calls keep their relative order (providers are filtered views
+    of append-only rosters).  ``sim.topology_version`` moves on exactly
+    the transitions (deploy/fail/retire/degrade/rewire) that can change
+    the population or its ability to hear.
 
-    ``nearest_hearing`` answers the device hot path: the ``count``
-    nearest gateways currently able to receive
-    (:meth:`~repro.net.gateway.Gateway.hears`), ordered by (distance²,
-    provider order).  Because ``hears()`` can only flip on a
-    version-bumping transition, evaluating it at rebuild/query time
-    consumes no randomness and never reorders a trace.
+    Once per version, lazily, the index takes a *hearing snapshot*: the
+    population's gateways whose :meth:`~repro.net.gateway.Gateway.hears`
+    is true, in provider order.  When the snapshot differs from the
+    previous one, every gateway that gained or lost hearing is appended
+    to an append-only change log, whose length is the index's
+    :meth:`epoch`.  A link table validated at one epoch is re-validated
+    against :meth:`changes_since` that epoch (the survival rule,
+    :func:`~repro.net.device.outlives`) instead of being rebuilt on
+    every bump.
+
+    ``nearest_hearing`` answers the rebuild path: the ``count`` nearest
+    gateways of the snapshot, ordered by (distance², provider order).
+    Its grid holds only the snapshot and is rebuilt only when a query
+    follows a change.  Because ``hears()`` can only flip on a
+    version-bumping transition, evaluating it at snapshot time consumes
+    no randomness and never reorders a trace.
     """
 
     def __init__(
@@ -142,42 +152,52 @@ class GatewayIndex:
         self.provider = provider
         self.cell_size_m = cell_size_m
         self._grid: Optional[SpatialGrid] = None
-        self._population: List[Gateway] = []
-        self._version: int = -1
+        #: The hearing snapshot, in provider order, and the version it
+        #: was taken at.
+        self._hearing: List[Gateway] = []
+        self._hearing_version: int = -1
+        #: Every gateway whose hearing changed between two snapshots.
+        self._changes: List[Gateway] = []
 
-    def grid(self) -> SpatialGrid:
-        """The current index, rebuilt if the topology version moved."""
+    def _snapshot(self) -> None:
+        """Take the hearing snapshot for the current version, once."""
         version = self.sim.topology_version
-        if self._grid is None or self._version != version:
-            population = list(self.provider())
-            grid = SpatialGrid(self.cell_size_m)
-            for gateway in population:
-                position = gateway.position
-                grid.insert(position.x, position.y, gateway)
-            self._grid = grid
-            self._population = population
-            self._version = version
-        return self._grid
+        if self._hearing_version == version:
+            return
+        hearing = [g for g in self.provider() if g.hears()]
+        previous = self._hearing
+        if hearing != previous:
+            after, before = set(hearing), set(previous)
+            self._changes.extend(g for g in previous if g not in after)
+            self._changes.extend(g for g in hearing if g not in before)
+            self._hearing = hearing
+            self._grid = None
+        self._hearing_version = version
 
-    def population(self) -> List[Gateway]:
-        """The indexed gateway list, in provider order (read-only).
+    def epoch(self) -> int:
+        """The change log's length at the current topology version."""
+        self._snapshot()
+        return len(self._changes)
 
-        Cohorts scan it on topology bumps to detect gateways that
-        *gained* the ability to hear — the one transition their
-        shrink-only candidate reuse cannot survive.
+    def changes_since(self, epoch: int) -> List[Gateway]:
+        """The gateways logged as changed since ``epoch``, oldest first.
+
+        A table validated at ``epoch`` is validated at
+        ``epoch + len(changes)`` once it has survived them.
         """
-        self.grid()
-        return self._population
+        self._snapshot()
+        return self._changes[epoch:]
 
     def nearest_hearing(self, position: Position, count: int) -> List[Gateway]:
         """The ``count`` nearest gateways that can currently receive."""
-        return self.grid().nearest(
-            position.x, position.y, count, where=_gateway_hears
-        )
-
-
-def _gateway_hears(gateway: Gateway) -> bool:
-    return gateway.hears()
+        self._snapshot()
+        grid = self._grid
+        if grid is None:
+            grid = SpatialGrid(self.cell_size_m)
+            for gateway in self._hearing:
+                grid.insert(gateway.position.x, gateway.position.y, gateway)
+            self._grid = grid
+        return grid.nearest(position.x, position.y, count)
 
 
 @dataclass

@@ -122,6 +122,22 @@ class TestCorruptionDetection:
             for v in found
         )
 
+    def test_poisoned_index_snapshot(self):
+        from repro.net import GatewayIndex
+
+        sim, net, auditor = _audited_testbed()
+        index = GatewayIndex(
+            sim, lambda: [g for g in net.gateways if g.alive], cell_size_m=50.0
+        )
+        net.devices[0].gateway_index = index
+        index.epoch()  # take the hearing snapshot at the current version
+        assert len(index._hearing) > 1
+        assert auditor.check_now() == []
+        index._hearing = index._hearing[1:]
+        found = auditor.check_now()
+        assert [(v.check, v.entity) for v in found] == [("cache-coherence", None)]
+        assert "hearing snapshot" in found[0].detail
+
     def test_one_ulp_mean_loss_is_flagged(self):
         sim, net, auditor = _audited_testbed()
         device = net.devices[0]

@@ -470,3 +470,73 @@ class TestCohortForwardingEquivalence:
 
         # Real records, sensing values included, not just a count.
         assert records(endpoint) == records(ref_endpoint)
+
+
+class TestCohortLinkTableSurvival:
+    """A topology bump drops only the member tables it can change."""
+
+    def test_gained_gateway_drops_only_members_within_reach(self, sim):
+        from repro.net import CampusBackhaul, CloudEndpoint, OwnedGateway
+        from repro.net.cohort import DeviceCohort
+        from repro.net.device import MAX_LINKS_TRIED, link_table
+        from repro.net.geometry import Position
+        from repro.net.topology import GatewayIndex
+        from repro.radio import ieee802154
+
+        spec = ieee802154.default_spec()
+        path_loss = ieee802154.urban_path_loss()
+        endpoint = CloudEndpoint(sim)
+        endpoint.deploy()
+        backhaul = CampusBackhaul(sim)
+        backhaul.add_dependency(endpoint)
+        backhaul.deploy()
+        roster = []
+
+        def add(x, y):
+            gateway = OwnedGateway(
+                sim, spec=spec, path_loss=path_loss, position=Position(x, y)
+            )
+            gateway.add_dependency(backhaul)
+            gateway.deploy()
+            roster.append(gateway)
+            return gateway
+
+        for x in (0.0, 60.0, 120.0, 180.0, 240.0, 300.0):
+            for y in (0.0, 60.0):
+                add(x, y)
+        index = GatewayIndex(
+            sim, lambda: [g for g in roster if g.alive], cell_size_m=60.0
+        )
+        positions = [
+            Position(x, 30.0) for x in (10.0, 70.0, 130.0, 190.0, 250.0, 290.0)
+        ]
+        cohort = DeviceCohort(
+            sim, "802.15.4", spec, ieee802154.airtime_s(24), units.HOUR, positions
+        )
+        cohort.gateway_index = index
+        cohort.deploy()
+        sim.run_until(units.hours(1.5))
+        before = list(cohort._links)
+        assert all(len(table) == MAX_LINKS_TRIED for table in before)
+
+        gained = add(5.0, 25.0)
+        within = [
+            i
+            for i, (position, table) in enumerate(zip(positions, before))
+            if position.distance_sq_to(gained.position)
+            <= position.distance_sq_to(table[-1][0].position)
+        ]
+        assert 0 < len(within) < len(positions)
+        cohort._sync_candidates(index)
+        assert [i for i, table in enumerate(cohort._links) if table is None] == within
+        kept = [i for i in range(len(positions)) if i not in within]
+        assert all(cohort._links[i] is before[i] for i in kept)
+
+        sim.run_until(units.hours(2.5))
+        for position, table in zip(positions, cohort._links):
+            assert table == link_table(
+                position,
+                index.nearest_hearing(position, MAX_LINKS_TRIED),
+                spec.frequency_hz,
+            )
+        assert gained in [g for g, _, _ in cohort._links[0]]

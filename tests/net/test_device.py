@@ -9,6 +9,7 @@ from repro.net import (
     CampusBackhaul,
     CloudEndpoint,
     EdgeDevice,
+    GatewayIndex,
     OwnedGateway,
     Position,
 )
@@ -146,7 +147,7 @@ class TestAttachmentPolicy:
         assert device.delivered == 0
         assert device.no_gateway == device.attempts
 
-    def test_directory_extends_candidates(self, sim):
+    def test_index_extends_candidates(self, sim):
         cloud, gateways, device = build(sim, n_gateways=1)
         extra = OwnedGateway(
             sim,
@@ -156,12 +157,12 @@ class TestAttachmentPolicy:
         )
         extra.add_dependency(gateways[0].depends_on[0])
         extra.deploy()
-        device.gateway_directory = lambda: [extra]
+        device.gateway_index = GatewayIndex(sim, lambda: [extra], cell_size_m=50.0)
         gateways[0].fail()
         sim.run_until(units.days(1.0))
         assert device.delivered > 0
 
-    def test_directory_ignored_when_instance_bound(self, sim):
+    def test_index_ignored_when_instance_bound(self, sim):
         cloud, gateways, device = build(
             sim, attachment=AttachmentPolicy.INSTANCE_BOUND
         )
@@ -172,7 +173,7 @@ class TestAttachmentPolicy:
             position=Position(6.0, 0.0),
         )
         extra.deploy()
-        device.gateway_directory = lambda: [extra]
+        device.gateway_index = GatewayIndex(sim, lambda: [extra], cell_size_m=50.0)
         gateways[0].fail()
         sim.run_until(units.days(1.0))
         assert device.delivered == 0
@@ -196,6 +197,96 @@ class TestAttachmentPolicy:
         lora_gw.deploy()
         device.add_dependency(lora_gw)
         assert lora_gw not in device.candidate_gateways()
+
+
+class TestLinkTableSurvival:
+    """A topology bump rebuilds the link table only when it can change it."""
+
+    def _layout(self, sim, distances):
+        """A device at the origin, discovering ``distances`` gateways."""
+        cloud, _, device = build(sim, n_gateways=0, position=Position(0.0, 0.0))
+        backhaul = cloud.dependents[0]
+        roster = []
+
+        def add(x, y):
+            gateway = OwnedGateway(
+                sim,
+                spec=ieee802154.default_spec(),
+                path_loss=ieee802154.urban_path_loss(),
+                position=Position(x, y),
+            )
+            gateway.add_dependency(backhaul)
+            gateway.deploy()
+            roster.append(gateway)
+            return gateway
+
+        for distance in distances:
+            add(0.0, distance)
+        device.gateway_index = GatewayIndex(
+            sim, lambda: [g for g in roster if g.alive], cell_size_m=50.0
+        )
+        rebuilds = []
+        fresh_links = device.fresh_links
+
+        def counted():
+            rebuilds.append(sim.topology_version)
+            return fresh_links()
+
+        device.fresh_links = counted
+        device._report()
+        assert len(rebuilds) == 1
+        return device, add, rebuilds
+
+    def test_far_deploy_keeps_the_table(self, sim):
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0, 30.0, 40.0))
+        table = device._links
+        add(300.0, 0.0)
+        device._report()
+        assert rebuilds == rebuilds[:1]
+        assert device._links is table
+        assert device._links == type(device).fresh_links(device)
+
+    def test_near_deploy_rebuilds(self, sim):
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0, 30.0, 40.0))
+        near = add(15.0, 0.0)
+        device._report()
+        assert len(rebuilds) == 2
+        assert [g for g, _, _ in device._links].index(near) == 1
+
+    def test_deploy_at_the_reach_rebuilds(self, sim):
+        """Strictly farther: a change exactly at the last entry's distance
+        could win a tie, so it rebuilds (here the table comes out equal,
+        because the newcomer is later in provider order)."""
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0, 30.0, 40.0))
+        table = device._links
+        add(40.0, 0.0)
+        device._report()
+        assert len(rebuilds) == 2
+        assert device._links == table
+
+    def test_partial_table_rebuilds_on_any_change(self, sim):
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0))
+        add(300.0, 0.0)
+        device._report()
+        assert len(rebuilds) == 2
+        assert len(device._links) == 3
+
+    def test_unrelated_bump_keeps_the_table(self, sim):
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0))
+        device.force_degrade()
+        device.restore_degrade()
+        device._report()
+        assert rebuilds == rebuilds[:1]
+
+    def test_dependency_state_change_rebuilds(self, sim):
+        device, add, rebuilds = self._layout(sim, (10.0, 20.0, 30.0, 40.0))
+        static = add(300.0, 300.0)
+        device.add_dependency(static)
+        device._report()
+        assert len(rebuilds) == 2  # a new dependency
+        static.force_degrade()
+        device._report()
+        assert len(rebuilds) == 3  # a dependency stopped hearing
 
 
 class TestValidation:

@@ -12,12 +12,14 @@ retire with reports; every report must have the same outcome, and the
 
 The device sees a static dependency, a spatial index holding more than
 ``MAX_LINKS_TRIED`` hearing gateways, and an incompatible-technology
-(LoRa) gateway nearest of all in that index.
+(LoRa) gateway nearest of all in that index; every one of them churns.
+Two index gateways sit at exactly the same distance, and gateways not
+yet deployed lie both inside and beyond a full table's last entry, so
+the survival rule (:func:`~repro.net.device.outlives`) sees changes on
+either side of a table's reach and on it.
 """
 
-import math
-
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Simulation, units
@@ -35,9 +37,23 @@ from repro.radio import ieee802154
 from repro.radio.link import attempt_delivery
 from repro.radio.lora import LoRaParameters, suburban_path_loss
 
-#: Index gateways (802.15.4) by distance from the device at the origin:
-#: all near the edge of coverage, so reports try several links.
-_INDEX_DISTANCES_M = (70.0, 80.0, 88.0, 95.0, 104.0, 112.0, 125.0)
+#: Index gateways (802.15.4) around the device at the origin, all near
+#: the edge of coverage so reports try several links.  Axis-aligned, so
+#: squared distances are exact: (0, -95) and (95, 0) tie.
+_INDEX_POSITIONS = (
+    (70.0, 0.0),
+    (0.0, 80.0),
+    (-88.0, 0.0),
+    (0.0, -95.0),
+    (95.0, 0.0),
+    (-104.0, 0.0),
+    # Not deployed at the start: one nearer than every table entry,
+    # two beyond a full table's last entry.
+    (0.0, 60.0),
+    (0.0, 112.0),
+    (125.0, 0.0),
+)
+_INITIALLY_UP = 6
 _STATIC_DISTANCE_M = 90.0
 _KINDS = ("report", "deploy", "fail", "degrade", "restore", "retire")
 
@@ -52,15 +68,9 @@ def _world(seed):
     spec = ieee802154.default_spec()
     path_loss = ieee802154.urban_path_loss()
     gateways = []
-    for k, distance in enumerate(_INDEX_DISTANCES_M):
-        angle = 2.0 * math.pi * k / len(_INDEX_DISTANCES_M)
+    for x, y in _INDEX_POSITIONS:
         gateways.append(
-            OwnedGateway(
-                sim,
-                spec=spec,
-                path_loss=path_loss,
-                position=Position(distance * math.cos(angle), distance * math.sin(angle)),
-            )
+            OwnedGateway(sim, spec=spec, path_loss=path_loss, position=Position(x, y))
         )
     lora = ThirdPartyGateway(
         sim,
@@ -87,9 +97,9 @@ def _world(seed):
     device.gateway_index = GatewayIndex(
         sim, lambda: index_population, cell_size_m=50.0
     )
-    # Start with the LoRa gateway and five index gateways up: more than
+    # Start with the LoRa gateway and six index gateways up: more than
     # MAX_LINKS_TRIED hearing links before any churn.
-    for gateway in [lora, static] + gateways[:5]:
+    for gateway in [lora, static] + gateways[:_INITIALLY_UP]:
         gateway.deploy()
     device.deploy()
     return sim, device, everything
@@ -147,14 +157,36 @@ def _reference_outcome(device):
 _steps = st.lists(
     st.tuples(
         st.sampled_from(_KINDS),
-        st.integers(min_value=0, max_value=len(_INDEX_DISTANCES_M) + 1),
+        st.integers(min_value=0, max_value=len(_INDEX_POSITIONS) + 1),
     ),
     max_size=80,
 )
 
 
+#: Positions in the steps' gateway list (index gateways, LoRa, static).
+_LORA = len(_INDEX_POSITIONS)
+_STATIC = _LORA + 1
+
+
 @given(steps=_steps, seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
+# The index's nearest four include the LoRa gateway, so while it hears
+# the device sees only three index gateways.  With it gone, a full
+# table's last entry stops hearing: a change exactly at the reach.
+@example(
+    steps=[("fail", _LORA), ("fail", _STATIC), ("report", 0), ("fail", 3)],
+    seed=1,
+)
+# A table with room for one more: a deploy beyond its last entry.
+@example(
+    steps=[("fail", k) for k in (_LORA, _STATIC, 0, 1, 2)]
+    + [("report", 0), ("deploy", 8)],
+    seed=2,
+)
+# A deploy nearer than every entry of a full table.
+@example(steps=[("report", 0), ("deploy", 6)], seed=3)
+# The static dependency stops hearing; the index logs nothing.
+@example(steps=[("report", 0), ("degrade", _STATIC)], seed=4)
 def test_link_table_duty_cycle_matches_reference_loop(steps, seed):
     sim, device, gateways = _world(seed)
     ref_sim, ref_device, ref_gateways = _world(seed)
@@ -163,6 +195,7 @@ def test_link_table_duty_cycle_matches_reference_loop(steps, seed):
         if kind == "report":
             got = _report_outcome(device, gateways)
             assert got == _reference_outcome(ref_device)
+            assert device._links == device.fresh_links()
             outcomes.append(got[0])
         else:
             _apply(kind, gateways[k])

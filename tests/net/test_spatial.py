@@ -70,28 +70,6 @@ class TestSpatialGridProperties:
         expected = [index for __, index in ranked[:count]]
         assert grid.nearest(qx, qy, count) == expected
 
-    @given(
-        points=st.lists(coordinates, min_size=0, max_size=60),
-        query=coordinates,
-        count=st.integers(min_value=1, max_value=10),
-        cell=st.floats(min_value=1.0, max_value=300.0, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_nearest_with_predicate_matches_brute_force(
-        self, points, query, count, cell
-    ):
-        grid = SpatialGrid(cell_size_m=cell)
-        for index, (x, y) in enumerate(points):
-            grid.insert(x, y, index)
-        qx, qy = query
-        ranked = sorted(
-            ((x - qx) ** 2 + (y - qy) ** 2, index)
-            for index, (x, y) in enumerate(points)
-            if index % 2 == 0
-        )
-        expected = [index for __, index in ranked[:count]]
-        assert grid.nearest(qx, qy, count, where=lambda i: i % 2 == 0) == expected
-
 
 def full_scan_expectation(devices, gateways, min_success, max_per_device):
     """The pre-grid reference algorithm: score every (device, gateway)

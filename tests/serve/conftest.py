@@ -10,21 +10,7 @@ elided, which keeps the suite fast and sandbox-proof.
 from __future__ import annotations
 
 import asyncio
-import os
 from typing import Dict, Optional, Tuple
-
-from hypothesis import HealthCheck, settings
-
-settings.register_profile(
-    "chaos",
-    derandomize=True,
-    deadline=None,
-    max_examples=6,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-_profile = os.environ.get("HYPOTHESIS_PROFILE")
-if _profile:
-    settings.load_profile(_profile)
 
 
 def run_async(coro):

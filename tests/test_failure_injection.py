@@ -237,7 +237,7 @@ class TestHeliumChaosInjection:
             report_interval=units.hours(6.0),
             position=Position(1_000.0, 1_000.0),
         )
-        device.gateway_directory = network.live_hotspots
+        device.gateway_index = network.live_index()
         device.deploy()
         sim.run_until(units.months(1.0))
         delivered_before = device.delivered
