@@ -3,9 +3,9 @@
 Wires a real :func:`~repro.city.assets.los_angeles` asset class through
 a :class:`~repro.city.deployment.RolloutPlan` into an executable
 deployment: a street-furniture device grid, an offset gateway grid sized
-to the radio's closed-form coverage radius, a campus backhaul, and an
-aggregate-only cloud endpoint.  The scenario runs in either of two
-*bit-equivalent* execution modes:
+to the radio's closed-form coverage radius, a campus backhaul, and a
+cloud endpoint.  The scenario runs in either of two *bit-equivalent*
+execution modes:
 
 * ``engine="per-entity"`` — one :class:`~repro.net.device.EdgeDevice`
   per sensor, the reference path every golden trace pins.
@@ -124,11 +124,7 @@ class CityScenario:
             embedded=config.harvester != "solar",
         )
 
-        self.endpoint = CloudEndpoint(
-            self.sim,
-            renewal_miss_probability=0.0,
-            store_deliveries=False,
-        )
+        self.endpoint = CloudEndpoint(self.sim, renewal_miss_probability=0.0)
         self.backhaul = CampusBackhaul(self.sim)
         self.backhaul.add_dependency(self.endpoint)
         self.endpoint.deploy()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis.diary import ExperimentDiary
-from ..analysis.uptime import interval_coverage
 from ..core import units
 from ..core.engine import Simulation
 from ..core.policy import AttachmentPolicy
@@ -36,6 +35,10 @@ from ..radio.link import coverage_radius_m
 from ..radio.lora import LoRaParameters
 from ..reliability.components import energy_harvesting_device, gateway_platform
 from ..reliability.maintenance import MaintenanceLedger
+
+#: The two arms, each a group of sources in the endpoint's record.
+OWNED_ARM = "owned-802.15.4"
+HELIUM_ARM = "helium-lora"
 
 
 @dataclass(frozen=True)
@@ -295,6 +298,7 @@ class FiftyYearExperiment:
             anchor = cluster[index % len(cluster)]
             position = Position(anchor.x + offset.x - spacing, anchor.y + offset.y - spacing)
             device = self._make_device(
+                OWNED_ARM,
                 technology="802.15.4",
                 spec=ieee802154.default_spec(),
                 airtime=ieee802154.airtime_s(config.payload_bytes),
@@ -424,6 +428,7 @@ class FiftyYearExperiment:
         rng = self.sim.rng("placement")
         for position in uniform_positions(config.n_lora_devices, config.extent_m, rng):
             device = self._make_device(
+                HELIUM_ARM,
                 technology="lora",
                 spec=lora.spec(),
                 airtime=lora.airtime_s(config.payload_bytes),
@@ -465,6 +470,7 @@ class FiftyYearExperiment:
         rng = self.sim.rng("placement")
         position = uniform_positions(1, config.extent_m, rng)[0]
         device = self._make_device(
+            HELIUM_ARM,
             technology="lora",
             spec=lora.spec(),
             airtime=lora.airtime_s(config.payload_bytes),
@@ -483,6 +489,7 @@ class FiftyYearExperiment:
 
     def _make_device(
         self,
+        arm: str,
         technology: str,
         spec,
         airtime: float,
@@ -498,7 +505,7 @@ class FiftyYearExperiment:
             ),
         )
         embedded = harvester == "cathodic"
-        return EdgeDevice(
+        device = EdgeDevice(
             self.sim,
             technology=technology,
             spec=spec,
@@ -510,6 +517,8 @@ class FiftyYearExperiment:
             lifetime_model=energy_harvesting_device(harvester, embedded=embedded),
             attachment=config.attachment,
         )
+        self.endpoint.register(device.name, arm)
+        return device
 
     # ------------------------------------------------------------------
     # Execution & results
@@ -525,8 +534,8 @@ class FiftyYearExperiment:
         horizon = self.config.horizon
         overall = self.endpoint.weekly_uptime(0.0, horizon)
         arms = {
-            "owned-802.15.4": self._arm_result("owned-802.15.4", self.devices_154),
-            "helium-lora": self._arm_result("helium-lora", self.devices_lora),
+            OWNED_ARM: self._arm_result(OWNED_ARM, self.devices_154),
+            HELIUM_ARM: self._arm_result(HELIUM_ARM, self.devices_lora),
         }
         self.diary.from_sim_log(self.sim)
         device_touches = self.ledger.device_touches()
@@ -542,23 +551,12 @@ class FiftyYearExperiment:
         )
 
     def _arm_result(self, arm: str, devices: List[EdgeDevice]) -> ArmResult:
-        names = {d.name for d in devices}
-        arrivals = [
-            r.received_at
-            for r in self.endpoint.deliveries
-            if r.packet.source in names
-        ]
         horizon = self.config.horizon
-        uptime = interval_coverage(arrivals, 0.0, horizon) if arrivals else 0.0
-        # Longest silent stretch in weeks for the arm.
-        from ..analysis.uptime import longest_gap
-
-        gap_weeks = int(longest_gap(arrivals, 0.0, horizon) // units.WEEK)
         return ArmResult(
             arm=arm,
-            device_names=sorted(names),
-            weekly_uptime=uptime,
-            longest_gap_weeks=gap_weeks,
+            device_names=sorted(d.name for d in devices),
+            weekly_uptime=self.endpoint.weekly_uptime(0.0, horizon, arm).uptime,
+            longest_gap_weeks=self.endpoint.longest_silence_weeks(horizon, arm),
             devices_alive_at_end=sum(1 for d in devices if d.alive),
             delivered=sum(d.delivered for d in devices),
             attempts=sum(d.attempts for d in devices),

@@ -204,12 +204,7 @@ class InvariantAuditor:
             elif tier == "gateway":
                 forwarded_total += self._check_gateway(entity)
             elif tier == "cloud":
-                # Registry-backed count when available (len(deliveries)
-                # undercounts endpoints running store_deliveries=False).
-                count = getattr(entity, "delivered_count", None)
-                if count is None:
-                    count = len(getattr(entity, "deliveries", ()))
-                delivered_total += count
+                delivered_total += entity.delivered_count
         self._forwarded_total = forwarded_total
         self._delivered_total = delivered_total
 

@@ -27,8 +27,8 @@ fault strikes, including replacements and churn arrivals.
 ``delivery_gating`` marks specs that only gate packet delivery on the
 backhaul/cloud path (forced degrades of those tiers, wallet drains,
 custodian lapses).  Such faults change **no** RNG draw sequence — every
-radio, sensing, energy, and churn draw happens upstream of the gate — so
-adding them to a plan can only remove deliveries.  This is the exact
+radio, energy, and churn draw happens upstream of the gate — so adding
+them to a plan can only remove deliveries.  This is the exact
 monotonicity the metamorphic property suite asserts.
 """
 

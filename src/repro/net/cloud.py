@@ -2,25 +2,54 @@
 
 §4's top-level metric: "some data arrives at some interval of time up to
 once a week that is publicly accessible at centurysensors.com."
-``CloudEndpoint`` logs every delivery and evaluates weekly uptime; it
-also models the one *certain* maintenance event the paper calls out —
-the 10-year maximum domain lease — as a renewal that, if ever missed,
-takes the public page dark until re-registered.
+``CloudEndpoint`` keeps a streamed record of arrivals — one small
+summary per calendar week, for the whole endpoint and for each
+registered group of sources — and evaluates weekly uptime from it.  Its
+size grows with simulated weeks, never with packets.  It also models
+the one *certain* maintenance event the paper calls out — the 10-year
+maximum domain lease — as a renewal that, if ever missed, takes the
+public page dark until re-registered.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core import units
 from ..core.engine import Simulation
 from ..core.entity import Entity
-from ..radio.packets import DeliveryRecord, Packet
 
 #: ICANN's maximum registration period (§4.5, ref [18]).
 MAX_DOMAIN_LEASE: float = units.years(10.0)
+
+#: One calendar week's arrivals: ``[count, first, last, count at last]``.
+WeekSummary = List
+
+
+def _record(weeks: Dict[int, WeekSummary], week: int, now: float, count: int) -> None:
+    """Fold ``count`` arrivals at ``now`` into ``weeks[week]``."""
+    summary = weeks.get(week)
+    if summary is None:
+        weeks[week] = [count, now, now, count]
+        return
+    summary[0] += count
+    if now > summary[2]:
+        summary[2] = now
+        summary[3] = count
+    elif now < summary[2]:
+        raise ValueError(f"arrival at {now} precedes the last one at {summary[2]}")
+    else:
+        summary[3] += count
+
+
+def _split(edge: float, first: float, last: float) -> ValueError:
+    return ValueError(
+        f"window edge {edge} falls between arrivals at {first} and {last} of "
+        "one calendar week; the endpoint keeps no per-arrival times within a "
+        "week, so that window cannot be evaluated exactly"
+    )
 
 
 class CloudEndpoint(Entity):
@@ -40,7 +69,6 @@ class CloudEndpoint(Entity):
         name: str = "centurysensors.com",
         renewal_miss_probability: float = 0.0,
         renewal_recovery: float = units.days(30.0),
-        store_deliveries: bool = True,
     ) -> None:
         super().__init__(sim, name)
         if not 0.0 <= renewal_miss_probability <= 1.0:
@@ -51,17 +79,14 @@ class CloudEndpoint(Entity):
         #: instead of the constant, e.g. an experimenter-succession
         #: model whose handoffs erode institutional memory (§4.5).
         self.miss_probability_fn = None
-        #: City-scale switch: with ``store_deliveries=False`` the
-        #: endpoint keeps only aggregates (per-week arrival counts, the
-        #: gap histogram, the delivered counter) instead of one
-        #: ``DeliveryRecord`` per packet — a 100k-device month would
-        #: otherwise pin millions of record objects.  The weekly-uptime
-        #: metric still evaluates exactly (see :meth:`weekly_uptime`).
-        self.store_deliveries = store_deliveries
-        self.deliveries: List[DeliveryRecord] = []
         self.per_device_last: Dict[str, float] = {}
-        self._week_counts: Dict[int, int] = {}
-        self._last_arrival: float = -1.0
+        #: The arrival record, keyed by calendar week ``int(t // WEEK)``
+        #: and kept in week order (arrivals come in time order).
+        self._weeks: Dict[int, WeekSummary] = {}
+        #: The same record per registered group, and each registered
+        #: source's group record (see :meth:`register`).
+        self._groups: Dict[str, Dict[int, WeekSummary]] = {}
+        self._group_of: Dict[str, Dict[int, WeekSummary]] = {}
         self.domain_up = True
         # Endpoint accounting in the run's metrics registry.  The
         # delivered counter closes the link-conservation chain the
@@ -117,11 +142,20 @@ class CloudEndpoint(Entity):
         """True if a delivery offered right now would be recorded publicly."""
         return self.alive and self.domain_up and self.forced_degradations == 0
 
-    def deliver(self, packet: Packet, via_gateway: str, via_backhaul: str) -> bool:
-        """Record an arriving packet.  Returns False if the endpoint is dark."""
-        return self.deliver_many(
-            (packet.source,), self.sim.now, via_gateway, via_backhaul, lambda _s: packet
-        )
+    def register(self, source: str, group: str) -> None:
+        """Also keep ``source``'s arrivals in ``group``'s own record.
+
+        Register a source before its first arrival; a source belongs to
+        at most one group.  :meth:`weekly_uptime` and
+        :meth:`longest_silence_weeks` then answer for the group alone.
+        """
+        weeks = self._groups.setdefault(group, {})
+        if self._group_of.setdefault(source, weeks) is not weeks:
+            raise ValueError(f"{source} is already registered to another group")
+
+    def deliver(self, source: str, via_gateway: str, via_backhaul: str) -> bool:
+        """Record an arrival from ``source`` now.  False if the endpoint is dark."""
+        return self.deliver_many((source,), self.sim.now, via_gateway, via_backhaul)
 
     def deliver_many(
         self,
@@ -129,43 +163,33 @@ class CloudEndpoint(Entity):
         now: float,
         via_gateway: str,
         via_backhaul: str,
-        packet_for: Callable[[str], Packet],
     ) -> bool:
-        """Record one packet per source, all arriving at ``now``.
+        """Record one arrival per source, all at ``now``.
 
-        Every update here (week counts, the delivered counter, each
-        source's last arrival and gap bucket) is order-free across
-        distinct sources, so a batch lands exactly as the same packets
-        delivered one by one.  ``packet_for(source)`` supplies the frame
-        a ``store_deliveries`` endpoint records.  Returns False, and
-        records nothing, if the endpoint is dark.
+        Every update here (the week summaries, the delivered counter,
+        each source's last arrival and gap bucket) is order-free across
+        distinct sources, so a batch lands exactly as the same arrivals
+        delivered one by one.  Arrivals must come in time order.
+        ``via_gateway`` and ``via_backhaul`` name the route; the record
+        does not keep them.  Returns False, and records nothing, if the endpoint is dark.
         """
         if not self.accepting():
             return False
-        if not sources:
+        count = len(sources)
+        if not count:
             return True
-        records = None
-        if self.store_deliveries:
-            records = self.deliveries
-        else:
-            week = int(now // units.WEEK)
-            counts = self._week_counts
-            counts[week] = counts.get(week, 0) + len(sources)
-            self._last_arrival = now
-        self._c_delivered.value += len(sources)
+        week = int(now // units.WEEK)
+        _record(self._weeks, week, now, count)
+        self._c_delivered.value += count
+        group_of = self._group_of
         per_device_last = self.per_device_last
         buckets = self._gap_buckets
         edges = self._gap_edges
         for source in sources:
-            if records is not None:
-                records.append(
-                    DeliveryRecord(
-                        packet=packet_for(source),
-                        received_at=now,
-                        via_gateway=via_gateway,
-                        via_backhaul=via_backhaul,
-                    )
-                )
+            if group_of:
+                weeks = group_of.get(source)
+                if weeks is not None:
+                    _record(weeks, week, now, 1)
             last = per_device_last.get(source)
             if last is not None:
                 buckets[bisect_left(edges, now - last)] += 1
@@ -175,13 +199,7 @@ class CloudEndpoint(Entity):
     # Compatibility views over the registry-backed counters.
     @property
     def delivered_count(self) -> int:
-        """Packets recorded, independent of delivery-record storage.
-
-        The registry-backed counter is the single source of truth;
-        ``len(deliveries)`` only agrees with it while
-        ``store_deliveries`` is on, so aggregate consumers (the
-        invariant auditor, fleet summaries) read this instead.
-        """
+        """Packets recorded (the registry-backed counter)."""
         return self._c_delivered.value
 
     @property
@@ -189,7 +207,7 @@ class CloudEndpoint(Entity):
         """Bucket counts of the per-device inter-arrival histogram.
 
         A read-only aggregate view (1 h / 6 h / 1 d / 1 w / 4 w edges
-        plus overflow) that exists in both delivery-storage modes.
+        plus overflow).
         """
         return tuple(self._gap_buckets)
 
@@ -206,11 +224,28 @@ class CloudEndpoint(Entity):
     # ------------------------------------------------------------------
     # The paper's uptime metric
     # ------------------------------------------------------------------
-    def weekly_uptime(self, start: float, end: float) -> "UptimeReport":
+    def _weeks_of(self, group: Optional[str]) -> Dict[int, WeekSummary]:
+        """The whole record, or ``group``'s (empty if none registered)."""
+        if group is None:
+            return self._weeks
+        return self._groups.get(group, {})
+
+    def weekly_uptime(
+        self, start: float, end: float, group: Optional[str] = None
+    ) -> "UptimeReport":
         """Fraction of whole weeks in [start, end) with >= 1 arrival.
 
         This is exactly the §4 metric: the experiment is "up" in a week
-        if *some* data arrived that week.
+        if *some* data arrived that week.  ``group`` restricts it to the
+        sources :meth:`register` put in that group.
+
+        Exact from the week summaries for any window.  A window week
+        ``[a, a + WEEK)`` covers the tail of one calendar week and the
+        head of the next, so it holds an arrival iff some calendar
+        week's first or last arrival lies in it.  An arrival exactly at
+        ``end`` is left out through the count at the last arrival.  An
+        edge strictly between a calendar week's first and last arrival
+        leaves ``total_deliveries`` unknown and raises ``ValueError``.
         """
         if end <= start:
             raise ValueError(f"end ({end}) must exceed start ({start})")
@@ -218,37 +253,24 @@ class CloudEndpoint(Entity):
         if n_weeks == 0:
             raise ValueError("window shorter than one week")
         hit = [False] * n_weeks
-        if self.store_deliveries:
-            arrivals = [
-                r.received_at
-                for r in self.deliveries
-                if start <= r.received_at < end
-            ]
-            total_deliveries = len(arrivals)
-            for t in arrivals:
-                index = int((t - start) // units.WEEK)
-                if index < n_weeks:
-                    hit[index] = True
-        else:
-            # Aggregate mode keeps per-week counts bucketed from t=0, so
-            # it can evaluate exactly only the windows those buckets
-            # resolve: starting at 0 and extending past the last arrival.
-            if start != 0.0:
-                raise ValueError(
-                    "store_deliveries=False endpoints bucket arrivals "
-                    "from t=0; weekly_uptime requires start == 0.0"
-                )
-            if self._last_arrival >= end:
-                raise ValueError(
-                    "store_deliveries=False endpoints cannot evaluate a "
-                    f"window ending at {end} before the last arrival at "
-                    f"{self._last_arrival}"
-                )
-            total_deliveries = 0
-            for week, count in self._week_counts.items():
-                total_deliveries += count
-                if week < n_weeks:
-                    hit[week] = True
+        total_deliveries = 0
+        for count, first, last, at_last in self._weeks_of(group).values():
+            if last < start or first >= end:
+                continue
+            if first < start:  # so start <= last
+                if start < last:
+                    raise _split(start, first, last)
+                count = at_last
+            if last >= end:  # so first < end
+                if end < last:
+                    raise _split(end, first, last)
+                count -= at_last
+            total_deliveries += count
+            for t in (first, last):
+                if start <= t < end:
+                    index = int((t - start) // units.WEEK)
+                    if index < n_weeks:
+                        hit[index] = True
         up_weeks = sum(hit)
         # Longest dark gap, in weeks.
         longest_gap = 0
@@ -266,6 +288,32 @@ class CloudEndpoint(Entity):
             longest_gap_weeks=longest_gap,
             total_deliveries=total_deliveries,
         )
+
+    def longest_silence_weeks(self, end: float, group: Optional[str] = None) -> int:
+        """Whole weeks in the longest stretch of [0, end) without an
+        arrival: ``int(gap // WEEK)`` of the largest of the first
+        arrival, the gaps between consecutive arrivals, and ``end``
+        minus the last arrival.
+
+        Exact from the week summaries: a gap of a week or more runs from
+        one calendar week's last arrival to a later week's first, the
+        same float subtraction a list of arrival times would make, and
+        every other gap (inside one calendar week, including one cut at
+        ``end``) is shorter than a week and floors to 0, so it never
+        needs a week's inner arrival times.
+        """
+        if end <= 0.0:
+            raise ValueError(f"end ({end}) must be positive")
+        longest = 0.0
+        previous = 0.0
+        for _count, first, last, _at_last in self._weeks_of(group).values():
+            if first >= end:
+                break
+            longest = max(longest, first - previous)
+            previous = last
+        # Negative when ``end`` cuts the last week: a gap inside it.
+        longest = max(longest, end - previous)
+        return int(longest // units.WEEK)
 
     def device_silence(self, horizon_end: float) -> Dict[str, float]:
         """Seconds since each known device was last heard, at ``horizon_end``."""

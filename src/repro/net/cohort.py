@@ -8,21 +8,20 @@ struct-of-arrays (positions, energy, death times) and counting outcomes
 in label-aggregated instruments.
 
 The batch path is a performance representation, not a new model: it
-draws from the same named RNG streams ("energy", "sensing", "radio",
-"device-hw") in the same per-stream order as the per-entity path, and
-every floating-point step of the energy update is the same IEEE-754
-operation the scalar :class:`~repro.energy.harvester.HarvestingSystem`
-performs.  Because the named streams are independent generators, batching
-all "energy" draws before all "sensing" draws is invisible — only the
-order *within* each stream matters, and that order (member order, with
-dead and energy-denied members skipped exactly where the scalar path
-skips them) is preserved.  The golden equivalence fixture in
+draws from the same named RNG streams ("energy", "radio", "device-hw")
+in the same per-stream order as the per-entity path, and every
+floating-point step of the energy update is the same IEEE-754 operation
+the scalar :class:`~repro.energy.harvester.HarvestingSystem` performs.
+Because the named streams are independent generators, batching all
+"energy" draws before all "radio" draws is invisible — only the order
+*within* each stream matters, and that order (member order, with dead
+and energy-denied members skipped exactly where the scalar path skips
+them) is preserved.  The golden equivalence fixture in
 ``tests/experiment/test_city_equivalence.py`` pins this bit-for-bit.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from ..core.entity import Entity
 from ..energy.budget import TaskProfile
 from ..energy.sources import EnergySource
 from ..radio.link import RadioSpec
-from ..radio.packets import Packet, Reading
+from ..radio.packets import credit_units
 from ..reliability.distributions import LifetimeDistribution
 from .device import (
     MAX_LINKS_TRIED,
@@ -187,8 +186,8 @@ class DeviceCohort(Entity):
     """A batch of homogeneous transmit-only devices behind one event.
 
     One ``report`` event per tick services every living member: a
-    vectorised energy step, a vectorised sensing draw for the members
-    that afforded the cycle, then the per-member radio trials an
+    vectorised energy step, then, for the members that afforded the
+    cycle, the per-member radio trials an
     :class:`~repro.net.device.EdgeDevice` makes (scalar draws on the
     "radio" stream against a cached link table of the member's
     nearest-``MAX_LINKS_TRIED`` hearing gateways from the shared
@@ -222,7 +221,6 @@ class DeviceCohort(Entity):
         payload_bytes: int = 24,
         power: Optional[CohortPower] = None,
         lifetime_model: Optional[LifetimeDistribution] = None,
-        sensor_kind: str = "concrete-health",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -232,6 +230,8 @@ class DeviceCohort(Entity):
             raise ValueError("airtime_s must be positive")
         if not positions:
             raise ValueError("positions must be non-empty")
+        if payload_bytes < 0:
+            raise ValueError(f"payload_bytes must be non-negative, got {payload_bytes}")
         if power is not None and power.count != len(positions):
             raise ValueError(
                 f"power sized for {power.count} members, got {len(positions)}"
@@ -241,11 +241,12 @@ class DeviceCohort(Entity):
         self.airtime_s = airtime_s
         self.report_interval = report_interval
         self.payload_bytes = payload_bytes
+        #: What each member report costs a paying gateway.
+        self._credits = credit_units(payload_bytes)
         self.positions = list(positions)
         self.count = len(self.positions)
         self.power = power
         self.lifetime_model = lifetime_model
-        self.sensor_kind = sensor_kind
         self.member_names = [f"{self.name}.{i}" for i in range(self.count)]
         self._x = np.array([p.x for p in self.positions])
         self._y = np.array([p.y for p in self.positions])
@@ -370,29 +371,6 @@ class DeviceCohort(Entity):
         self._reach_sq[i] = reach_sq(position, table)
         return table
 
-    def _packet(
-        self, now: float, approved: np.ndarray, values: np.ndarray, source: str
-    ) -> Packet:
-        """The frame member ``source`` sent at ``now``.
-
-        ``approved`` and ``values`` are the report's transmitting members
-        and their sensed values.  Built only for consumers that need the
-        frame itself (a wallet's credit count, a storing endpoint's
-        records); the aggregate path never constructs one.
-        """
-        i = int(source.rpartition(".")[2])
-        return Packet(
-            source=source,
-            created_at=now,
-            payload_bytes=self.payload_bytes,
-            reading=Reading(
-                kind=self.sensor_kind,
-                value=float(values[np.searchsorted(approved, i)]),
-                unit="normalized",
-            ),
-            signed_with=f"factory-key:{source}",
-        )
-
     # ------------------------------------------------------------------
     # The batched duty cycle
     # ------------------------------------------------------------------
@@ -419,9 +397,6 @@ class DeviceCohort(Entity):
         n_approved = int(approved.size)
         if n_approved == 0:
             return
-        values = self.sim.rng("sensing").normal(
-            loc=1.0, scale=0.05, size=n_approved
-        )
         index = self._gateway_index
         if index is None:
             self._c_no_gateway.value += n_approved
@@ -431,7 +406,7 @@ class DeviceCohort(Entity):
         spec = self.spec
         links = self._links
         names = self.member_names
-        packet_for = partial(self._packet, now, approved, values)
+        credits = self._credits
         # Heard members grouped by gateway, in member order; a
         # wallet-backed gateway is delivered to inline instead (its
         # debits are the one order-sensitive forwarding step).
@@ -455,12 +430,12 @@ class DeviceCohort(Entity):
                 batch = None if getattr(gateway, "wallet", None) is not None else []
                 batches[gateway] = batch
             if batch is None:
-                delivered += gateway.receive_many((names[i],), now, packet_for)
+                delivered += gateway.receive_many((names[i],), now, credits)
             else:
                 batch.append(names[i])
         for gateway, batch in batches.items():
             if batch is not None:
-                delivered += gateway.receive_many(batch, now, packet_for)
+                delivered += gateway.receive_many(batch, now, credits)
         if no_gateway:
             self._c_no_gateway.value += no_gateway
         if radio_lost:

@@ -22,7 +22,7 @@ from ..core.entity import Entity
 from ..core.policy import AttachmentPolicy
 from ..energy.harvester import HarvestingSystem
 from ..radio.link import RadioSpec, attempt_delivery
-from ..radio.packets import Packet, Reading
+from ..radio.packets import Packet, Reading, credit_units
 from ..reliability.distributions import LifetimeDistribution
 from ..reliability.failure import FailureProcess
 from .gateway import Gateway
@@ -161,11 +161,15 @@ class EdgeDevice(Entity):
             raise ValueError("report_interval must be positive")
         if airtime_s <= 0.0:
             raise ValueError("airtime_s must be positive")
+        if payload_bytes < 0:
+            raise ValueError(f"payload_bytes must be non-negative, got {payload_bytes}")
         self.technology = technology
         self.spec = spec
         self.airtime_s = airtime_s
         self.report_interval = report_interval
         self.payload_bytes = payload_bytes
+        #: What each report costs a paying gateway.
+        self._credits = credit_units(payload_bytes)
         self.position = position
         self.power = power
         self.lifetime_model = lifetime_model
@@ -190,7 +194,6 @@ class EdgeDevice(Entity):
         # The streams the duty cycle draws from, fetched once: the same
         # generators ``sim.rng(name)`` returns on every call.
         self._radio_rng = sim.rng("radio")
-        self._sensing_rng = sim.rng("sensing")
         self._energy_rng = sim.rng("energy")
 
         #: Optional dynamic discovery: a
@@ -360,7 +363,7 @@ class EdgeDevice(Entity):
         self._links_epoch = 0 if index is None else index.epoch()
 
     def _report(self) -> None:
-        """One duty cycle: pay energy, sense, and try the link table.
+        """One duty cycle: pay energy, then try the link table.
 
         The table is revalidated only when ``topology_version`` moves.
         That is exact: every transition that can flip a gateway's
@@ -375,7 +378,6 @@ class EdgeDevice(Entity):
         if self.power is not None and not self._pay_energy():
             self._c_energy_denied.value += 1
             return
-        packet = self.make_packet()
         version = self.sim.topology_version
         if self._links_version != version:
             self._revalidate_links()
@@ -388,7 +390,7 @@ class EdgeDevice(Entity):
         if gateway is None:
             self._c_radio_lost.value += 1
             return
-        if gateway.receive(packet):
+        if gateway.receive(self.name, self._credits):
             self._c_delivered.value += 1
 
     def _pay_energy(self) -> bool:
@@ -399,10 +401,15 @@ class EdgeDevice(Entity):
         return self.power.try_transmit(self.airtime_s)
 
     def make_packet(self) -> Packet:
-        """Build the uplink frame for the current reading."""
+        """Build an uplink frame with a fresh reading.
+
+        Not part of the duty cycle, which forwards only the device's
+        name and its packets' credit cost; the reading is drawn from the
+        "sensing" stream, which nothing else reads.
+        """
         reading = Reading(
             kind=self.sensor_kind,
-            value=float(self._sensing_rng.normal(loc=1.0, scale=0.05)),
+            value=float(self.sim.rng("sensing").normal(loc=1.0, scale=0.05)),
             unit="normalized",
         )
         return Packet(

@@ -1,9 +1,9 @@
 """Gateways: the translation layer between device radios and the backhaul.
 
 Per §3.2's takeaways, a gateway "should primarily act only as a router":
-``Gateway.receive`` checks a blocklist and forwards up the dependency
-DAG, deferring all decision-making to the backend.  The stateful
-alternative (per-device connection keys, closed-loop control) is
+``Gateway.receive`` checks a blocklist and forwards the sender's name up
+the dependency DAG, deferring all decision-making to the backend.  The
+stateful alternative (per-device connection keys, closed-loop control) is
 represented by :class:`~repro.core.policy.GatewayRole` and shows up as a
 commissioning cost when gateways are replaced.
 
@@ -15,13 +15,12 @@ case) — it *churns*: its owner may unplug it at any time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from ..core.engine import Simulation
 from ..core.entity import Entity
 from ..core.policy import GatewayRole
 from ..radio.link import PathLossModel, RadioSpec
-from ..radio.packets import Packet
 from .geometry import ORIGIN, Position
 
 
@@ -103,43 +102,34 @@ class Gateway(Entity):
         """
         return self.alive and self.forced_degradations == 0
 
-    def receive(self, packet: Packet) -> bool:
-        """Accept a radio-decoded packet and forward it to the backend.
+    def receive(self, source: str, credits: int) -> bool:
+        """Accept a radio-decoded packet from ``source`` and forward it.
 
-        Returns True iff the packet reached a recording endpoint.  Drop
-        reasons are counted for the benchmarks' loss breakdowns.
+        ``credits`` is what the packet costs a paying gateway (see
+        :func:`~repro.radio.packets.credit_units`); an owned gateway
+        forwards for free.  Returns True iff the packet reached a
+        recording endpoint.  Drop reasons are counted for the
+        benchmarks' loss breakdowns.
         """
         if not self.hears():
             return False
-        return self._forward((packet.source,), self.sim.now, lambda _s: packet) == 1
+        return self._forward((source,), self.sim.now) == 1
 
-    def receive_many(
-        self,
-        sources: Sequence[str],
-        now: float,
-        packet_for: Callable[[str], Packet],
-    ) -> int:
+    def receive_many(self, sources: Sequence[str], now: float, credits: int) -> int:
         """Accept one decoded packet per source, all sent at ``now``.
 
-        The bulk form of :meth:`receive` for a cohort report event.  No
-        other event runs inside one, so ``hears()``, the backhaul's
-        ``carries_traffic()`` and the endpoint's ``accepting()`` hold
-        for the whole batch and one route walk serves every packet.
-        ``packet_for(source)`` builds a source's packet on demand, for
-        the consumers that need the frame itself (a wallet's credit
-        count, a storing endpoint's records).  Returns the number of
-        packets that reached a recording endpoint.
+        The bulk form of :meth:`receive` for a cohort report event; every
+        packet costs ``credits``.  No other event runs inside one, so
+        ``hears()``, the backhaul's ``carries_traffic()`` and the
+        endpoint's ``accepting()`` hold for the whole batch and one route
+        walk serves every packet.  Returns the number of packets that
+        reached a recording endpoint.
         """
         if not self.hears():
             return 0
-        return self._forward(sources, now, packet_for)
+        return self._forward(sources, now)
 
-    def _forward(
-        self,
-        sources: Sequence[str],
-        now: float,
-        packet_for: Callable[[str], Packet],
-    ) -> int:
+    def _forward(self, sources: Sequence[str], now: float) -> int:
         """Blocklist, route walk and drop accounting for heard packets."""
         count = len(sources)
         self._c_received.value += count
@@ -159,7 +149,7 @@ class Gateway(Entity):
                 deliver_many = getattr(endpoint, "deliver_many", None)
                 if deliver_many is None:
                     continue
-                if deliver_many(sources, now, self.name, backhaul.name, packet_for):
+                if deliver_many(sources, now, self.name, backhaul.name):
                     self._c_forwarded.value += count
                     return count
                 self._c_drop_endpoint.value += count
@@ -280,19 +270,14 @@ class ThirdPartyGateway(Gateway):
         """Packets refused because the prepaid wallet was dry (registry-backed)."""
         return self._c_drop_unpaid.value
 
-    def receive(self, packet: Packet) -> bool:
+    def receive(self, source: str, credits: int) -> bool:
         if not self.hears():
             return False
-        if not self._pay(packet):
+        if not self._pay(credits):
             return False
-        return super().receive(packet)
+        return super().receive(source, credits)
 
-    def receive_many(
-        self,
-        sources: Sequence[str],
-        now: float,
-        packet_for: Callable[[str], Packet],
-    ) -> int:
+    def receive_many(self, sources: Sequence[str], now: float, credits: int) -> int:
         """Bulk :meth:`receive`: each source pays, in order, before routing.
 
         Debits are the one order-sensitive step of forwarding: hotspots
@@ -302,12 +287,12 @@ class ThirdPartyGateway(Gateway):
         if not self.hears():
             return 0
         if self.wallet is not None:
-            sources = [s for s in sources if self._pay(packet_for(s))]
-        return super().receive_many(sources, now, packet_for)
+            sources = [s for s in sources if self._pay(credits)]
+        return super().receive_many(sources, now, credits)
 
-    def _pay(self, packet: Packet) -> bool:
-        """Debit the wallet for ``packet``; count an unpaid drop if broke."""
-        if self.wallet is None or self.wallet.debit(packet.credit_units):
+    def _pay(self, credits: int) -> bool:
+        """Debit the wallet ``credits``; count an unpaid drop if broke."""
+        if self.wallet is None or self.wallet.debit(credits):
             return True
         self._c_drop_unpaid.value += 1
         return False

@@ -23,7 +23,6 @@ from ..analysis.asn import synthesize_assignments
 from ..core import units
 from ..core.engine import Simulation
 from ..radio.lora import LoRaParameters, suburban_path_loss
-from ..radio.packets import Packet
 from .backhaul import OpaqueBackhaul
 from .cloud import CloudEndpoint
 from .gateway import ThirdPartyGateway
@@ -313,11 +312,6 @@ class HeliumNetwork:
                 self.sim, self.live_hotspots, cell_size_m=cell
             )
         return self._live_index
-
-    def pay_and_forward(self, packet: Packet) -> bool:
-        """Debit the wallet for ``packet``; the radio hop happens at the
-        device.  Returns False if the wallet is empty (service refusal)."""
-        return self.wallet.debit(packet.credit_units)
 
     def fail_as(self, asn: int) -> int:
         """Kill the backhaul of one AS (correlated-failure injection).

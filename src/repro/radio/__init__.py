@@ -20,7 +20,7 @@ from .link import (
     received_power_dbm,
 )
 from .lora import EU868, US915, LoRaParameters, RegionalLimits
-from .packets import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading
+from .packets import CREDIT_UNIT_BYTES, Packet, Reading, credit_units
 
 __all__ = [
     "channel",
@@ -45,7 +45,7 @@ __all__ = [
     "LoRaParameters",
     "RegionalLimits",
     "CREDIT_UNIT_BYTES",
-    "DeliveryRecord",
     "Packet",
     "Reading",
+    "credit_units",
 ]

@@ -5,9 +5,12 @@ The paper's initial devices are transmit-only monitoring sensors: up to
 and a signature the device can never rotate — which is why §4.1 calls
 their longitudinal trust "limited".
 
-All three records are frozen *slotted* dataclasses: a fifty-year run's
-endpoint keeps hundreds of thousands of packet/reading/delivery triples,
-and a per-instance ``__dict__`` would be most of their memory.
+The forwarding path carries no packet objects: a device hands its name
+and :func:`credit_units` to the gateway, and the endpoint folds each
+arrival into per-week summaries.  :class:`Packet` and :class:`Reading`
+describe the frame for code that wants one
+(:meth:`~repro.net.device.EdgeDevice.make_packet`); both are frozen
+*slotted* dataclasses.
 """
 
 from __future__ import annotations
@@ -52,26 +55,17 @@ class Packet:
 
     @property
     def credit_units(self) -> int:
-        """Data credits this packet costs on a Helium-style network.
-
-        One credit per started 24-byte unit; a zero-byte heartbeat still
-        costs one credit.
-        """
-        if self.payload_bytes == 0:
-            return 1
-        return -(-self.payload_bytes // CREDIT_UNIT_BYTES)  # ceil div
+        """Data credits this packet costs (see :func:`credit_units`)."""
+        return credit_units(self.payload_bytes)
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    """A packet's arrival at the backend, as logged by the endpoint."""
+def credit_units(payload_bytes: int) -> int:
+    """Data credits one ``payload_bytes`` message costs on a Helium-style
+    network.
 
-    packet: Packet
-    received_at: float
-    via_gateway: str
-    via_backhaul: str
-
-    @property
-    def latency_s(self) -> float:
-        """Creation-to-arrival delay."""
-        return self.received_at - self.packet.created_at
+    One credit per started 24-byte unit; a zero-byte heartbeat still
+    costs one credit.
+    """
+    if payload_bytes == 0:
+        return 1
+    return -(-payload_bytes // CREDIT_UNIT_BYTES)  # ceil div

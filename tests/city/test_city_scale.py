@@ -99,8 +99,13 @@ class TestCityScenarioConstruction:
             assert nearest <= radius
 
     def test_endpoint_runs_aggregate_only(self):
-        city = CityScenario(small_config())
-        assert city.endpoint.store_deliveries is False
+        city = build_city(small_config())
+        city.run()
+        endpoint = city.endpoint
+        # Week summaries count every arrival; no per-packet log exists.
+        report = endpoint.weekly_uptime(0.0, city.sim.now + 1.0)
+        assert report.total_deliveries == endpoint.delivered_count > 0
+        assert not hasattr(endpoint, "deliveries")
 
 
 class TestCityScenarioRun:

@@ -4,31 +4,27 @@ import pytest
 
 from repro.core import units
 from repro.net import MAX_DOMAIN_LEASE, CloudEndpoint
-from repro.radio import Packet
-
-
-def packet(source="dev-1", t=0.0):
-    return Packet(source=source, created_at=t, payload_bytes=24)
 
 
 class TestDelivery:
     def test_deliver_records(self, sim):
         cloud = CloudEndpoint(sim)
         cloud.deploy()
-        assert cloud.deliver(packet(), "gw", "bh")
-        assert len(cloud.deliveries) == 1
+        assert cloud.deliver("dev-1", "gw", "bh")
+        assert cloud.delivered_count == 1
+        assert cloud.weekly_uptime(0.0, units.WEEK).total_deliveries == 1
         assert cloud.per_device_last["dev-1"] == 0.0
 
     def test_dead_endpoint_refuses(self, sim):
         cloud = CloudEndpoint(sim)
         cloud.deploy()
         cloud.fail()
-        assert not cloud.deliver(packet(), "gw", "bh")
+        assert not cloud.deliver("dev-1", "gw", "bh")
 
     def test_device_silence(self, sim):
         cloud = CloudEndpoint(sim)
         cloud.deploy()
-        cloud.deliver(packet("a"), "gw", "bh")
+        cloud.deliver("a", "gw", "bh")
         sim.run_until(units.days(3.0))
         silence = cloud.device_silence(sim.now)
         assert silence["a"] == pytest.approx(units.days(3.0))
@@ -40,7 +36,7 @@ class TestWeeklyUptime:
         cloud.deploy()
         for week in range(10):
             sim.run_until(week * units.WEEK + 1.0)
-            cloud.deliver(packet(t=sim.now), "gw", "bh")
+            cloud.deliver("dev-1", "gw", "bh")
         report = cloud.weekly_uptime(0.0, 10 * units.WEEK)
         assert report.uptime == 1.0
         assert report.longest_gap_weeks == 0
@@ -50,9 +46,9 @@ class TestWeeklyUptime:
         cloud = CloudEndpoint(sim)
         cloud.deploy()
         # Arrivals only in weeks 0 and 5 of a 6-week window.
-        cloud.deliver(packet(t=0.0), "gw", "bh")
+        cloud.deliver("dev-1", "gw", "bh")
         sim.run_until(5 * units.WEEK + 1.0)
-        cloud.deliver(packet(t=sim.now), "gw", "bh")
+        cloud.deliver("dev-1", "gw", "bh")
         report = cloud.weekly_uptime(0.0, 6 * units.WEEK)
         assert report.up_weeks == 2
         assert report.uptime == pytest.approx(2.0 / 6.0)
@@ -63,7 +59,7 @@ class TestWeeklyUptime:
         cloud = CloudEndpoint(sim)
         cloud.deploy()
         for _ in range(5):
-            cloud.deliver(packet(t=0.0), "gw", "bh")
+            cloud.deliver("dev-1", "gw", "bh")
         report = cloud.weekly_uptime(0.0, 2 * units.WEEK)
         assert report.up_weeks == 1
         assert report.total_deliveries == 5
@@ -104,7 +100,7 @@ class TestDomainLease:
         cloud = CloudEndpoint(sim, renewal_miss_probability=1.0)
         cloud.deploy()
         sim.run_until(units.years(10.0) + units.DAY)
-        assert not cloud.deliver(packet(t=sim.now), "gw", "bh")
+        assert not cloud.deliver("dev-1", "gw", "bh")
 
     def test_lapses_recorded(self, sim):
         cloud = CloudEndpoint(sim, renewal_miss_probability=1.0)

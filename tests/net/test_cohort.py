@@ -246,6 +246,22 @@ class TestDeviceCohortConstruction:
                 power=power,
             )
 
+    def test_rejects_negative_payload(self, sim):
+        from repro.net.cohort import DeviceCohort
+        from repro.net.geometry import Position
+        from repro.radio import ieee802154
+
+        with pytest.raises(ValueError, match="payload_bytes"):
+            DeviceCohort(
+                sim,
+                technology="802.15.4",
+                spec=ieee802154.default_spec(),
+                airtime_s=ieee802154.airtime_s(24),
+                report_interval=units.HOUR,
+                positions=[Position(0, 0)],
+                payload_bytes=-1,
+            )
+
     def test_lifetimes_drawn_like_failure_processes(self, sim):
         """Cohort death times consume "device-hw" exactly as per-device
         FailureProcess arming does — one scalar sample per member."""
@@ -316,10 +332,11 @@ class LoggingWallet:
         return ok
 
 
-def drop_path_layout(engine, store_deliveries=False):
+def drop_path_layout(engine, endpoint_cls=None):
     """Run the layout on ``engine`` to the horizon.
 
-    Returns ``(sim, endpoint, gateways, wallet, fleet)``.
+    ``endpoint_cls`` defaults to :class:`CloudEndpoint`.  Returns
+    ``(sim, endpoint, gateways, wallet, fleet)``.
     """
     from repro.core import Simulation
     from repro.net import CampusBackhaul, CloudEndpoint, ThirdPartyGateway
@@ -335,7 +352,7 @@ def drop_path_layout(engine, store_deliveries=False):
     # A weak, embedded link, so some reports are lost on the radio.
     spec = lora.spec(tx_power_dbm=0.0)
     path_loss = suburban_path_loss(embedded=True)
-    endpoint = CloudEndpoint(sim, store_deliveries=store_deliveries)
+    endpoint = (endpoint_cls or CloudEndpoint)(sim)
     endpoint.deploy()
     backhaul = CampusBackhaul(sim)
     backhaul.add_dependency(endpoint)
@@ -443,33 +460,33 @@ class TestCohortForwardingEquivalence:
         assert cohort[3].log == reference[3].log
 
     def test_storing_endpoint_matches_per_entity(self):
-        _, ref_endpoint, *_ = drop_path_layout("per-entity", store_deliveries=True)
-        sim, endpoint, *_ = drop_path_layout("cohort", store_deliveries=True)
-        assert len(endpoint.deliveries) == len(ref_endpoint.deliveries) > 0
+        from repro.net import CloudEndpoint
+
+        class ArrivalLog(CloudEndpoint):
+            """Logs every arrival it records, with its route."""
+
+            def __init__(self, sim):
+                super().__init__(sim)
+                self.log = []
+
+            def deliver_many(self, sources, now, via_gateway, via_backhaul):
+                if not super().deliver_many(sources, now, via_gateway, via_backhaul):
+                    return False
+                self.log.extend((s, now, via_gateway, via_backhaul) for s in sources)
+                return True
+
+        _, ref_endpoint, *_ = drop_path_layout("per-entity", ArrivalLog)
+        sim, endpoint, *_ = drop_path_layout("cohort", ArrivalLog)
+        assert len(endpoint.log) == len(ref_endpoint.log) > 0
+        assert len(endpoint.log) == endpoint.delivered_count
         assert endpoint.weekly_uptime(0.0, HORIZON) == ref_endpoint.weekly_uptime(
             0.0, HORIZON
         )
         assert endpoint.device_silence(HORIZON) == ref_endpoint.device_silence(
             HORIZON
         )
-
-        def records(point):
-            return sorted(
-                (
-                    r.packet.source,
-                    r.received_at,
-                    r.via_gateway,
-                    r.via_backhaul,
-                    r.packet.created_at,
-                    r.packet.payload_bytes,
-                    r.packet.reading,
-                    r.packet.signed_with,
-                )
-                for r in point.deliveries
-            )
-
-        # Real records, sensing values included, not just a count.
-        assert records(endpoint) == records(ref_endpoint)
+        # Every arrival, with its time and route, not just a count.
+        assert sorted(endpoint.log) == sorted(ref_endpoint.log)
 
 
 class TestCohortLinkTableSurvival:

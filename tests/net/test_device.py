@@ -56,7 +56,7 @@ class TestReporting:
         sim.run_until(units.days(1.0))
         assert device.attempts == 24
         assert device.delivered >= 22  # near-field link, rare shadowing loss
-        assert len(cloud.deliveries) == device.delivered
+        assert cloud.delivered_count == device.delivered
 
     def test_no_gateway_counted(self, sim):
         cloud, gateways, device = build(sim)
@@ -308,6 +308,17 @@ class TestValidation:
                 spec=ieee802154.default_spec(),
                 airtime_s=0.0,
                 report_interval=units.HOUR,
+            )
+
+    def test_negative_payload_rejected(self, sim):
+        with pytest.raises(ValueError, match="payload_bytes"):
+            EdgeDevice(
+                sim,
+                technology="802.15.4",
+                spec=ieee802154.default_spec(),
+                airtime_s=0.001,
+                report_interval=units.HOUR,
+                payload_bytes=-1,
             )
 
     def test_packet_contents(self, sim):

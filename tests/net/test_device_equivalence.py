@@ -33,7 +33,7 @@ from repro.net import (
     Position,
     ThirdPartyGateway,
 )
-from repro.radio import ieee802154
+from repro.radio import credit_units, ieee802154
 from repro.radio.link import attempt_delivery
 from repro.radio.lora import LoRaParameters, suburban_path_loss
 
@@ -138,7 +138,6 @@ def _report_outcome(device, gateways):
 
 def _reference_outcome(device):
     """The direct loop the link table replaces."""
-    packet = device.make_packet()
     rng = device.sim.rng("radio")
     tried = 0
     for gateway in device.candidate_gateways():
@@ -147,7 +146,7 @@ def _reference_outcome(device):
         tried += 1
         distance = max(device.position.distance_to(gateway.position), 1.0)
         if attempt_delivery(device.spec, gateway.path_loss, distance, rng):
-            gateway.receive(packet)
+            gateway.receive(device.name, credit_units(device.payload_bytes))
             return ("heard", gateway.name)
         if tried == MAX_LINKS_TRIED:
             break

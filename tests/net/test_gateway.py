@@ -13,12 +13,26 @@ from repro.net import (
     ThirdPartyGateway,
     migrate_devices,
 )
-from repro.radio import Packet, ieee802154
+from repro.radio import credit_units, ieee802154
 from repro.radio.lora import LoRaParameters, suburban_path_loss
 
 
+class RouteLoggingEndpoint(CloudEndpoint):
+    """An endpoint that also logs the route of every accepted batch."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.routes = []
+
+    def deliver_many(self, sources, now, via_gateway, via_backhaul):
+        accepted = super().deliver_many(sources, now, via_gateway, via_backhaul)
+        if accepted:
+            self.routes.extend((s, via_gateway, via_backhaul) for s in sources)
+        return accepted
+
+
 def owned_stack(sim):
-    cloud = CloudEndpoint(sim)
+    cloud = RouteLoggingEndpoint(sim)
     cloud.deploy()
     backhaul = CampusBackhaul(sim)
     backhaul.add_dependency(cloud)
@@ -31,48 +45,44 @@ def owned_stack(sim):
     return cloud, backhaul, gateway
 
 
-def pkt(source="dev-1", t=0.0, payload=24):
-    return Packet(source=source, created_at=t, payload_bytes=payload)
-
-
 class TestForwarding:
     def test_receive_forwards_to_cloud(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
-        assert gateway.receive(pkt())
+        assert gateway.receive("dev-1", 1)
         assert gateway.packets_forwarded == 1
-        assert len(cloud.deliveries) == 1
+        assert cloud.routes == [("dev-1", gateway.name, backhaul.name)]
 
     def test_blocklist_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         gateway.block("bad-dev")
-        assert not gateway.receive(pkt("bad-dev"))
+        assert not gateway.receive("bad-dev", 1)
         assert gateway.drops_blocklist == 1
-        assert not cloud.deliveries
+        assert cloud.delivered_count == 0
         gateway.unblock("bad-dev")
-        assert gateway.receive(pkt("bad-dev"))
+        assert gateway.receive("bad-dev", 1)
 
     def test_dead_gateway_hears_nothing(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         gateway.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.packets_received == 0
 
     def test_backhaul_outage_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         backhaul.up = False
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_backhaul == 1
 
     def test_dead_backhaul_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         backhaul.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_backhaul == 1
 
     def test_endpoint_down_drop_counted(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         cloud.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_endpoint == 1
 
     def test_second_backhaul_used_when_first_down(self, sim):
@@ -82,8 +92,8 @@ class TestForwarding:
         second.deploy()
         gateway.add_dependency(second)
         backhaul.up = False
-        assert gateway.receive(pkt())
-        assert cloud.deliveries[0].via_backhaul == second.name
+        assert gateway.receive("dev-1", 1)
+        assert cloud.routes == [("dev-1", gateway.name, second.name)]
 
 
 class TestCommissioning:
@@ -135,17 +145,17 @@ class TestThirdParty:
         wallet = DataCreditWallet()
         wallet.provision(2)
         cloud, hotspot = self._hotspot(sim, wallet=wallet)
-        assert hotspot.receive(pkt())
-        assert hotspot.receive(pkt())
-        assert not hotspot.receive(pkt())  # broke
+        assert hotspot.receive("dev-1", 1)
+        assert hotspot.receive("dev-1", 1)
+        assert not hotspot.receive("dev-1", 1)  # broke
         assert hotspot.drops_unpaid == 1
-        assert len(cloud.deliveries) == 2
+        assert cloud.delivered_count == 2
 
     def test_large_packet_costs_more_credits(self, sim):
         wallet = DataCreditWallet()
         wallet.provision(3)
         cloud, hotspot = self._hotspot(sim, wallet=wallet)
-        assert hotspot.receive(pkt(payload=50))  # 3 credits
+        assert hotspot.receive("dev-1", credit_units(50))  # 3 credits
         assert wallet.balance == 0
 
     def test_asn_tagged(self, sim):

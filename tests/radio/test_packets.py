@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.radio import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading
+from repro.radio import CREDIT_UNIT_BYTES, Packet, Reading, credit_units
 
 
 class TestPacket:
@@ -15,6 +15,8 @@ class TestPacket:
         assert Packet("d", 0.0, payload_bytes=25).credit_units == 2
         assert Packet("d", 0.0, payload_bytes=48).credit_units == 2
         assert Packet("d", 0.0, payload_bytes=49).credit_units == 3
+        # The forwarding path prices a payload without building a packet.
+        assert [credit_units(n) for n in (0, 24, 25, 48, 49)] == [1, 1, 2, 2, 3]
 
     def test_zero_byte_heartbeat_costs_one(self):
         assert Packet("d", 0.0, payload_bytes=0).credit_units == 1
@@ -37,12 +39,6 @@ class TestPacket:
         assert CREDIT_UNIT_BYTES == 24
 
 
-class TestDeliveryRecord:
-    def test_latency(self):
-        packet = Packet("d", created_at=10.0, payload_bytes=24)
-        record = DeliveryRecord(packet, received_at=12.5, via_gateway="g", via_backhaul="b")
-        assert record.latency_s == 2.5
-
 
 class TestSlottedRecords:
     """The records are frozen slotted dataclasses: no ``__dict__``, but
@@ -51,12 +47,11 @@ class TestSlottedRecords:
     def _records(self):
         reading = Reading(kind="strain", value=1.5, unit="ue")
         packet = Packet("d", 3.0, 24, reading=reading, signed_with="k")
-        record = DeliveryRecord(packet, received_at=4.0, via_gateway="g", via_backhaul="b")
-        return reading, packet, record
+        return reading, packet
 
     def test_fields_are_still_frozen(self):
-        reading, packet, record = self._records()
-        for instance, name in ((reading, "value"), (packet, "source"), (record, "received_at")):
+        reading, packet = self._records()
+        for instance, name in ((reading, "value"), (packet, "source")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(instance, name, 0)
 
