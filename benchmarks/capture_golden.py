@@ -133,7 +133,9 @@ def summarize(result, sim: Simulation) -> dict:
         "wallet_balance": result.wallet.balance,
         "wallet_refusals": result.wallet.refusals,
         "maintenance_hours": result.maintenance.total_hours(),
-        "executed_events": sim.executed_events,
+        "executed_events": sim.metrics.snapshot().counter_value(
+            "sim_events_executed_total"
+        ),
         "log_records": len(sim.log),
     }
 

@@ -8,7 +8,7 @@ ledgers.
 This lives below :mod:`repro.analysis.report` on purpose: the diary is
 sim-facing state that :class:`repro.experiment.FiftyYearExperiment`
 carries during a run, while ``report`` is benchmark-presentation code
-that sim layers must never import (simlint SL006).
+that sim layers should not import.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 EXPERIMENTS.md stays uniform, and :func:`comparison_table` renders a
 list of them as markdown.  The experimental diary is not here: it lives
 in :mod:`repro.analysis.diary`, because sim layers carry a diary during
-runs and simlint SL006 forbids them from importing this module.
+runs and should not depend on presentation code.
 """
 
 from __future__ import annotations

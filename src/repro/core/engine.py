@@ -286,25 +286,6 @@ class Simulation:
         if not self._stopped:
             self.now = end_time
 
-    @property
-    def executed_events(self) -> int:
-        """Total number of events executed so far.
-
-        Compatibility read of the registry-backed counter
-        (``sim_events_executed_total``) — the registry is the single
-        source; this property just names it conveniently.
-        """
-        return self._executed_counter.value
-
-    @property
-    def peak_pending_events(self) -> int:
-        """High-water mark of the future event list over the run.
-
-        Compatibility read of the same value the registry's lazy
-        ``sim_peak_pending_events`` gauge samples.
-        """
-        return self.events.peak_live
-
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ SL002     ad-hoc ``np.random.default_rng(...)`` outside core/rng.py
 SL003     implicit-Optional annotations (``x: T = None``)
 SL004     mutable default arguments
 SL005     float ``==``/``!=`` against simulation time
-SL006     sim layer importing runtime / cli / analysis.report
 SL007     non-tuple ``heappush`` entries
 SL008     fault randomness outside RandomStreams
 SL009     wall-clock reads inside sim layers

@@ -68,7 +68,6 @@ def lint_source(
     source: str,
     path: str = "<string>",
     module: Optional[str] = None,
-    is_package: bool = False,
 ) -> List[Finding]:
     """Run every rule over one in-memory module."""
     if module is None:
@@ -89,7 +88,6 @@ def lint_source(
     ctx = ModuleContext(
         path=path,
         module=module or "",
-        is_package=is_package,
         tree=tree,
         source=source,
         suppressions=suppressions,
@@ -109,12 +107,7 @@ def lint_file(path, module: Optional[str] = None) -> List[Finding]:
     source = file_path.read_bytes().decode("utf-8")
     if module is None:
         module = module_name_for(list(file_path.parts))
-    return lint_source(
-        source,
-        path=str(file_path),
-        module=module,
-        is_package=file_path.name == "__init__.py",
-    )
+    return lint_source(source, path=str(file_path), module=module)
 
 
 def iter_python_files(paths: Iterable) -> List[Path]:

@@ -42,7 +42,6 @@ class ModuleContext:
 
     path: str
     module: str                 # dotted name, e.g. "repro.net.trust"
-    is_package: bool            # True for __init__.py files
     tree: ast.AST
     source: str
     #: line -> suppressed rule ids; an empty frozenset means "all rules".

@@ -297,15 +297,14 @@ class ConflictingMetricRegistration(ProjectRule):
 
 @register
 class ImportGraphViolation(ProjectRule):
-    """The whole-graph successor to SL006: no import-time module cycles,
-    and every cross-package import must be an edge of the DAG declared
-    in ``[tool.simlint.layers]`` (pyproject.toml)."""
+    """No import-time module cycles, and every cross-package import must
+    be an edge of the DAG declared in ``[tool.simlint.layers]``
+    (pyproject.toml)."""
 
     id = "SL013"
     title = "import cycle or undeclared cross-package import"
     rationale = (
-        "SL006 bans a fixed list of upward imports per file; SL013 checks "
-        "the whole graph.  Import-time module cycles make module "
+        "Import-time module cycles make module "
         "initialization order-dependent (and pickling from worker "
         "processes fragile), so they are banned outright — break one with "
         "a deferred (function-scope) import, the sanctioned idiom already "
@@ -313,8 +312,7 @@ class ImportGraphViolation(ProjectRule):
         "must appear in the [tool.simlint.layers] DAG, so adding a "
         "dependency between subsystems is a reviewable pyproject.toml "
         "diff, not an accident.  Deferred imports are exempt from the DAG "
-        "(they cannot create import-time cycles); SL006 still polices the "
-        "always-banned upward ones."
+        "(they cannot create import-time cycles)."
     )
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:

@@ -1,4 +1,4 @@
-"""The simlint rule registry and the nine shipped rules.
+"""The simlint rule registry and the eight shipped rules.
 
 Each rule guards one determinism or hygiene invariant of the simulator
 (see DESIGN.md "simlint" for the full rationale).  Rules are plain
@@ -13,9 +13,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .findings import Finding, ModuleContext
 
-#: Packages whose modules form the deterministic simulation core.  They
-#: must never import orchestration (runtime), presentation (cli), or
-#: benchmark-reporting (analysis.report) layers — see SL006.
+#: Packages whose modules form the deterministic simulation core: no
+#: wall-clock reads here (SL009).  Which packages each may import is
+#: declared in ``[tool.simlint.layers]`` and checked by SL013.
 SIM_LAYERS = frozenset(
     {
         "core",
@@ -92,7 +92,7 @@ def import_map(tree: ast.AST) -> Dict[str, str]:
     ``from numpy.random import default_rng as rng`` ->
     {"rng": "numpy.random.default_rng"}.  Relative imports are skipped —
     they can only name modules inside ``repro`` itself, which the banned
-    lists never match (layering is SL006's job).
+    lists never match (layering is SL013's job).
     """
     mapping: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -133,25 +133,6 @@ def terminal_identifier(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def resolve_relative(
-    ctx: ModuleContext, level: int, module: Optional[str]
-) -> Optional[str]:
-    """Absolute module named by a relative import in ``ctx``'s module."""
-    if ctx.module is None:
-        return None
-    base = ctx.module.split(".")
-    if not ctx.is_package:
-        base = base[:-1]
-    drop = level - 1
-    if drop > len(base):
-        return None
-    if drop:
-        base = base[:-drop]
-    if module:
-        base = base + module.split(".")
-    return ".".join(base) if base else None
 
 
 # ----------------------------------------------------------------------
@@ -469,79 +450,6 @@ class FloatTimeEquality(Rule):
                         f"{symbol} comparison against simulation time "
                         f"({ast.unparse(left)} {symbol} {ast.unparse(right)}); "
                         "use an ordered comparison or an epsilon window",
-                    )
-
-
-# ----------------------------------------------------------------------
-# SL006 — layering violations
-# ----------------------------------------------------------------------
-
-@register
-class LayeringViolation(Rule):
-    """Sim-layer packages must stay importable (and picklable) without
-    orchestration or presentation code."""
-
-    id = "SL006"
-    title = "sim layer imports an upper layer"
-    rationale = (
-        "repro.runtime forks worker processes that import sim modules; a "
-        "sim -> runtime/cli/analysis.report import creates cycles, drags "
-        "presentation concerns into workers, and breaks the DESIGN.md layer "
-        "diagram."
-    )
-
-    BANNED_TARGETS = (
-        "repro.runtime",
-        "repro.cli",
-        "repro.__main__",
-        "repro.analysis.report",
-        "repro.devtools",
-    )
-
-    def _banned(self, target: Optional[str]) -> Optional[str]:
-        if target is None:
-            return None
-        for banned in self.BANNED_TARGETS:
-            if target == banned or target.startswith(banned + "."):
-                return banned
-        return None
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.module or not ctx.module.startswith("repro."):
-            return
-        layer = ctx.module.split(".")[1]
-        if layer not in SIM_LAYERS:
-            return
-        for node in ast.walk(ctx.tree):
-            targets: List[Optional[str]] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0:
-                    base = node.module
-                else:
-                    base = resolve_relative(ctx, node.level, node.module)
-                targets = [base]
-                if base is not None:
-                    # `from ..analysis import report` binds a submodule:
-                    # check each imported name as a module path too.
-                    targets.extend(
-                        f"{base}.{alias.name}"
-                        for alias in node.names
-                        if alias.name != "*"
-                    )
-            else:
-                continue
-            seen: set = set()
-            for target in targets:
-                banned = self._banned(target)
-                if banned is not None and banned not in seen:
-                    seen.add(banned)
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"sim layer {layer!r} imports {banned} (upper layer); "
-                        "invert the dependency or move the shared code down",
                     )
 
 

@@ -160,7 +160,7 @@ def monte_carlo_uptime(
     # Deliberate lazy inversion: runtime imports experiment lazily in its
     # workers, and this convenience wrapper reaches back up only at call
     # time, so no import cycle materialises.
-    from ..runtime import MonteCarloRunner, ScenarioTask  # simlint: ignore[SL006]
+    from ..runtime import MonteCarloRunner, ScenarioTask
 
     task = ScenarioTask(
         scenario=name,

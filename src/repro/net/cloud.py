@@ -211,16 +211,6 @@ class CloudEndpoint(Entity):
         """
         return tuple(self._gap_buckets)
 
-    @property
-    def domain_renewals(self) -> int:
-        """Domain lease renewals attempted (registry-backed)."""
-        return self._c_renewals.value
-
-    @property
-    def missed_renewals(self) -> int:
-        """Renewals fumbled, taking the page dark (registry-backed)."""
-        return self._c_missed_renewals.value
-
     # ------------------------------------------------------------------
     # The paper's uptime metric
     # ------------------------------------------------------------------

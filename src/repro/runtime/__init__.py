@@ -1,11 +1,12 @@
 """Deterministic parallel and distributed Monte-Carlo execution.
 
 One simulation run is single-threaded by design; a *study* of many
-seeds is embarrassingly parallel.  Three layers compose:
+seeds is embarrassingly parallel.  Four modules compose:
 
-* :mod:`repro.runtime.queue` — the dynamic work-queue scheduler:
-  adaptive chunking, per-run failure capture, broken-pool recovery,
-  and an in-order collector that makes streaming memory-bounded.
+* :mod:`repro.runtime.queue` — the one worker pool and the dynamic
+  work-queue scheduler: adaptive chunking, per-run failure capture,
+  broken-pool recovery, and an in-order collector that makes streaming
+  memory-bounded.
 * :mod:`repro.runtime.runner` — :class:`MonteCarloRunner`, the study
   front-end: seed schedules via the hash-chained
   :meth:`repro.core.rng.RandomStreams.fork` lineage, bit-identical
@@ -13,6 +14,8 @@ seeds is embarrassingly parallel.  Three layers compose:
 * :mod:`repro.runtime.shard` — on-disk shard artifacts (``.mcr``) and
   the multi-host merge: a study partitioned across hosts merges back
   byte-identical to the unsharded single-process run.
+* :mod:`repro.runtime.sealed` — the sealed files shards and the serve
+  cache write.
 """
 
 from .queue import (

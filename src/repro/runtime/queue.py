@@ -1,43 +1,47 @@
-"""Dynamic work-queue scheduling for Monte-Carlo runs.
+"""Dynamic work-queue scheduling for Monte-Carlo runs, on one worker pool.
 
-The static ``pool.map`` path the runner shipped with (PR 1/PR 3) has
-three structural weaknesses at study scale:
+:func:`execute_runs` submits chunks of runs to a :class:`WorkerPool` and
+collects them in *completion* order, while an in-order collector hands
+results to the caller in *index* order.  Chunk sizes adapt to the
+observed per-run wall clock so a study whose run times vary does not
+straggle on the tail.  A run that raises becomes a :class:`FailedRun`
+record instead of aborting the study, and a worker that dies breaks only
+the chunks in flight: those indices re-execute on a rebuilt pool.
+Errors that are not a run's own — a failing ``consume``/``on_failure``
+sink (a full disk under the shard writer), a result that cannot cross
+the process boundary — stop the study and reach the caller unchanged.
 
-1. **All-or-nothing failure** — one poisoned run aborts the whole map
-   and loses every completed result.
-2. **Static chunking** — the chunk size is fixed before the first run
-   finishes, so a study whose run times vary (faulted seeds run longer)
-   straggles on the tail.
-3. **No recovery** — a worker process dying (OOM killer, segfault in a
-   native extension) poisons the pool and the whole study with it.
-
-:func:`execute_runs` replaces it with dynamic dispatch: chunks are
-submitted via ``Executor.submit`` and collected in *completion* order,
-while an in-order collector reassembles results in *index* order before
-they reach the caller.  Chunk sizes adapt to the observed per-run wall
-clock, per-run exceptions become :class:`FailedRun` records instead of
-aborting the study, and a ``BrokenProcessPool`` rebuilds the pool and
-re-executes only the indices that were actually in flight.
+:class:`WorkerPool` is the package's one worker pool; the scenario
+service (:mod:`repro.serve.service`) submits through it too.  It starts
+a ``ProcessPoolExecutor`` on first use and replaces it when a worker
+dies.  Only if a process pool cannot be created or started at all does
+it fall back, for good, to a thread pool of the same size, with one
+``RuntimeWarning``: the results are identical, only slower.
 
 Determinism is untouched by any of this: seeds are fixed before
 dispatch (see :func:`~repro.runtime.runner.derive_seeds`), every run is
-independent, and the collector hands results to the caller in run-index
-order no matter which worker finished first.  Scheduling policy can
-only change *when* a run executes, never *what* it computes.
-
-The collector is also what makes **streaming** execution memory-bounded:
-a caller that passes ``consume=`` (the shard writer does) sees each
-result exactly once, in index order, and the scheduler holds at most the
-out-of-order window — O(workers x chunk), not O(runs) — in memory.
+independent, and the collector hands results over in run-index order
+no matter which worker finished first.  The collector also bounds
+**streaming** memory: with ``consume=`` (the shard writer) each result
+is handed over once and the scheduler holds only the out-of-order
+window — O(workers x chunk), not O(runs).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -78,13 +82,69 @@ def resolve_workers(workers: int) -> int:
     and the shard executor all resolve through here so the semantics
     live in exactly one documented place.
     """
-    import os
-
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
     if workers == 0:
         return os.cpu_count() or 1
     return int(workers)
+
+
+class WorkerPool(Executor):
+    """The one worker pool: processes when possible, threads when not.
+
+    The process pool starts on the first :meth:`submit`.  A submit to a
+    pool that a dead worker broke replaces it first (:attr:`rebuilds`);
+    the futures lost with it raise ``BrokenProcessPool`` and the caller
+    decides what to re-run.  If creating or starting the process pool
+    raises ``OSError``, ``ImportError`` or ``NotImplementedError``, the
+    pool switches for good to a same-size thread pool and warns once.
+    An error raised by the submitted work reaches its future unchanged.
+    Submit from one thread: the pool takes no lock.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = resolve_workers(workers)
+        self._executor: Optional[Executor] = None
+        #: "process", or "thread" after the fallback.
+        self.kind = "process"
+        #: Process pools replaced after a worker died.
+        self.rebuilds = 0
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        try:
+            if self._executor is None:
+                self._executor = self._new_executor()
+            try:
+                return self._executor.submit(fn, *args, **kwargs)
+            except BrokenProcessPool:
+                self._executor.shutdown(wait=False)
+                self._executor = self._new_executor()
+                self.rebuilds += 1
+                return self._executor.submit(fn, *args, **kwargs)
+        except (OSError, ImportError, NotImplementedError) as exc:
+            if self.kind == "thread":
+                raise
+            if self._executor is not None:
+                self._executor.shutdown(wait=False)
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running {self.workers} "
+                f"worker thread(s) instead — results are identical, only slower",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.kind = "thread"
+            self._executor = self._new_executor()
+            return self._executor.submit(fn, *args, **kwargs)
+
+    def _new_executor(self) -> Executor:
+        if self.kind == "thread":
+            return ThreadPoolExecutor(max_workers=self.workers)
+        return ProcessPoolExecutor(max_workers=self.workers)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait, cancel_futures=cancel_futures)
+            self._executor = None
 
 
 @dataclass(frozen=True)
@@ -107,7 +167,8 @@ class FailedRun:
 class ExecutionStats:
     """Observability counters for one :func:`execute_runs` call."""
 
-    #: "serial" or "pool" — which execution strategy actually ran.
+    #: "serial", "pool" or "thread" — which execution strategy ran
+    #: ("thread" when no process pool could be started).
     mode: str = "serial"
     #: Chunks submitted to the pool (0 for serial execution).
     dispatched_chunks: int = 0
@@ -150,17 +211,8 @@ def _run_chunk(run_one: RunOne, task: object, items: Sequence[IndexSeed]) -> Lis
         try:
             outcomes.append(("ok", run_one(task, index, seed)))
         except Exception as exc:
-            outcomes.append(
-                (
-                    "err",
-                    FailedRun(
-                        index=index,
-                        seed=seed,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback.format_exc(),
-                    ),
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            outcomes.append(("err", FailedRun(index, seed, error, traceback.format_exc())))
     return outcomes
 
 
@@ -185,12 +237,10 @@ class _InOrderCollector:
         self._on_failure = on_failure
         self._buffer: Dict[int, _Outcome] = {}
         self._pos = 0
-        self.seen: set = set()
         self.peak = 0
 
     def add(self, index: int, outcome: _Outcome) -> None:
         self._buffer[index] = outcome
-        self.seen.add(index)
         if len(self._buffer) > self.peak:
             self.peak = len(self._buffer)
         while self._pos < len(self._order):
@@ -204,30 +254,22 @@ class _InOrderCollector:
                 self._on_failure(payload)
             self._pos += 1
 
-    @property
-    def done(self) -> bool:
-        return self._pos == len(self._order)
-
 
 def _adaptive_chunk_size(
-    ema_run_s: Optional[float],
-    pending: int,
-    workers: int,
-    target_chunk_s: float,
-    max_chunk: int,
+    ema_run_s: Optional[float], pending: int, workers: int
 ) -> int:
     """Next chunk size from the observed per-run wall clock.
 
     Three bounds compose: the *target* (enough runs to fill
-    ``target_chunk_s`` of work), the *fair share* (never batch so much
-    that workers idle near the tail), and the hard :data:`MAX_CHUNK`
-    cap that keeps the streaming reorder window small.
+    :data:`TARGET_CHUNK_S` of work), the *fair share* (never batch so
+    much that workers idle near the tail), and the hard
+    :data:`MAX_CHUNK` cap that keeps the streaming reorder window small.
     """
     if ema_run_s is None or ema_run_s <= 0.0:
         return 1
-    target = max(1, int(target_chunk_s / ema_run_s))
+    target = max(1, int(TARGET_CHUNK_S / ema_run_s))
     fair = max(1, math.ceil(pending / (2 * workers)))
-    return max(1, min(target, fair, max_chunk))
+    return max(1, min(target, fair, MAX_CHUNK))
 
 
 def execute_runs(
@@ -237,9 +279,6 @@ def execute_runs(
     workers: int,
     consume: Optional[Callable[[object], None]] = None,
     on_failure: Optional[Callable[[FailedRun], None]] = None,
-    target_chunk_s: float = TARGET_CHUNK_S,
-    max_chunk: int = MAX_CHUNK,
-    max_index_retries: int = MAX_INDEX_RETRIES,
 ) -> ExecutionReport:
     """Execute ``pairs`` with the dynamic work-queue scheduler.
 
@@ -249,7 +288,9 @@ def execute_runs(
     regardless of worker count or completion order.  Per-run exceptions
     become :class:`FailedRun` records via ``on_failure`` (or the
     report); a broken pool is rebuilt and only the in-flight indices
-    re-execute, each at most ``max_index_retries`` times.
+    re-execute, each at most :data:`MAX_INDEX_RETRIES` times.  An
+    exception from ``consume`` or ``on_failure`` stops the study and
+    propagates.  ``workers == 1`` runs in-process.
     """
     workers = resolve_workers(workers)
     report = ExecutionReport()
@@ -263,49 +304,13 @@ def execute_runs(
     collector = _InOrderCollector([i for i, _ in pairs], sink, fail_sink)
 
     if workers == 1:
-        _execute_serial(run_one, task, pairs, collector)
-        report.stats = ExecutionStats(
-            mode="serial", peak_resident_results=collector.peak
-        )
-        return report
-
-    try:
-        _execute_pool(
-            run_one,
-            task,
-            pairs,
-            workers,
-            collector,
-            report.stats,
-            target_chunk_s,
-            max_chunk,
-            max_index_retries,
-        )
-        report.stats.mode = "pool"
-    except (OSError, ImportError, NotImplementedError, PermissionError) as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); falling back to serial "
-            f"execution — results are identical, only slower",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        remaining = [p for p in pairs if p[0] not in collector.seen]
-        _execute_serial(run_one, task, remaining, collector)
-        report.stats.mode = "serial"
+        # In-process: same outcomes, one result resident at a time.
+        for index, seed in pairs:
+            collector.add(index, _run_chunk(run_one, task, ((index, seed),))[0])
+    else:
+        _execute_pool(run_one, task, pairs, workers, collector, report.stats)
     report.stats.peak_resident_results = collector.peak
     return report
-
-
-def _execute_serial(
-    run_one: RunOne,
-    task: object,
-    pairs: Sequence[IndexSeed],
-    collector: _InOrderCollector,
-) -> None:
-    """In-process execution: same outcomes, one result resident at a time."""
-    for index, seed in pairs:
-        for idx_outcome in _run_chunk(run_one, task, ((index, seed),)):
-            collector.add(index, idx_outcome)
 
 
 def _execute_pool(
@@ -315,114 +320,70 @@ def _execute_pool(
     workers: int,
     collector: _InOrderCollector,
     stats: ExecutionStats,
-    target_chunk_s: float,
-    max_chunk: int,
-    max_index_retries: int,
 ) -> None:
     """The dynamic dispatch loop.  See module docstring for the design."""
     pending = deque(pairs)
     retry_counts: Dict[int, int] = {}
     chunk_size = 1
     ema_run_s: Optional[float] = None
-    pool = ProcessPoolExecutor(max_workers=workers)
-    inflight: Dict[object, Tuple[IndexSeed, ...]] = {}
+    pool = WorkerPool(workers)
+    inflight: Dict[Future, Tuple[IndexSeed, ...]] = {}
     try:
         while pending or inflight:
-            lost: List[Tuple[IndexSeed, ...]] = []
             # Top up: keep 2 x workers chunks outstanding — enough to
             # pipeline, few enough that chunk sizing stays adaptive.
             while pending and len(inflight) < 2 * workers:
                 items = tuple(
                     pending.popleft() for _ in range(min(chunk_size, len(pending)))
                 )
-                try:
-                    future = pool.submit(_run_chunk, run_one, task, items)
-                except BrokenProcessPool:
-                    lost.append(items)
-                    break
-                inflight[future] = items
+                inflight[pool.submit(_run_chunk, run_one, task, items)] = items
                 stats.dispatched_chunks += 1
                 if len(items) > stats.max_chunk_size:
                     stats.max_chunk_size = len(items)
 
-            if inflight and not lost:
-                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    items = inflight.pop(future)
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        lost.append(items)
-                        continue
-                    except Exception as exc:
-                        # Infrastructure failure for the whole chunk
-                        # (e.g. an unpicklable result): record each
-                        # item rather than aborting the study.
-                        for index, seed in items:
-                            collector.add(
-                                index,
-                                (
-                                    "err",
-                                    FailedRun(
-                                        index=index,
-                                        seed=seed,
-                                        error=f"chunk failed: {type(exc).__name__}: {exc}",
-                                    ),
-                                ),
-                            )
-                        continue
-                    for (index, seed), outcome in zip(items, outcomes):
-                        collector.add(index, outcome)
-                        if outcome[0] == "ok":
-                            observed = getattr(outcome[1], "wall_clock_s", 0.0)
-                            if observed > 0.0:
-                                ema_run_s = (
-                                    observed
-                                    if ema_run_s is None
-                                    else 0.5 * ema_run_s + 0.5 * observed
-                                )
-                chunk_size = _adaptive_chunk_size(
-                    ema_run_s, len(pending), workers, target_chunk_s, max_chunk
-                )
-
-            if lost:
-                # The pool is broken: every in-flight chunk is gone with
-                # it.  Recover exactly the lost indices — completed work
-                # is already in the collector and is never re-run.
-                lost.extend(inflight.values())
-                inflight.clear()
-                pool.shutdown(wait=False)
-                stats.pool_rebuilds += 1
-                requeue: List[IndexSeed] = []
-                for items in lost:
+            requeue: List[IndexSeed] = []
+            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+            for future in done:
+                items = inflight.pop(future)
+                try:
+                    outcomes = future.result()
+                except BrokenProcessPool:
+                    # A worker died and broke the pool: every chunk in
+                    # flight there fails here.  Re-run exactly those
+                    # indices, on the pool the next submit rebuilds.
                     for index, seed in items:
                         retry_counts[index] = retry_counts.get(index, 0) + 1
-                        if retry_counts[index] > max_index_retries:
-                            collector.add(
-                                index,
-                                (
-                                    "err",
-                                    FailedRun(
-                                        index=index,
-                                        seed=seed,
-                                        error=(
-                                            "worker process died "
-                                            f"{retry_counts[index]} times "
-                                            "running this index"
-                                        ),
-                                    ),
-                                ),
-                            )
-                        else:
+                        if retry_counts[index] <= MAX_INDEX_RETRIES:
                             requeue.append((index, seed))
-                            stats.reexecuted_indices += 1
+                            continue
+                        error = (
+                            f"worker process died {retry_counts[index]} "
+                            "times running this index"
+                        )
+                        collector.add(index, ("err", FailedRun(index, seed, error)))
+                    continue
+                for (index, _seed), outcome in zip(items, outcomes):
+                    collector.add(index, outcome)
+                    if outcome[0] == "ok":
+                        observed = getattr(outcome[1], "wall_clock_s", 0.0)
+                        if observed > 0.0:
+                            ema_run_s = (
+                                observed
+                                if ema_run_s is None
+                                else 0.5 * ema_run_s + 0.5 * observed
+                            )
+            chunk_size = _adaptive_chunk_size(ema_run_s, len(pending), workers)
+
+            if requeue:
+                stats.reexecuted_indices += len(requeue)
                 pending = deque(sorted(requeue) + list(pending))
-                pool = ProcessPoolExecutor(max_workers=workers)
                 # Relearn chunk size conservatively: one bad index per
                 # chunk keeps blast radius and retry attribution tight.
                 chunk_size = 1
     finally:
-        pool.shutdown(wait=True)
+        pool.shutdown(wait=True, cancel_futures=True)
+        stats.mode = "pool" if pool.kind == "process" else "thread"
+        stats.pool_rebuilds = pool.rebuilds
 
 
 __all__ = [
@@ -433,6 +394,7 @@ __all__ = [
     "MAX_INDEX_RETRIES",
     "MonteCarloExecutionError",
     "TARGET_CHUNK_S",
+    "WorkerPool",
     "execute_runs",
     "resolve_workers",
 ]

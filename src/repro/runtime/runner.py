@@ -18,10 +18,11 @@ dispatched:
    order-independently, so a study's merged metrics are bit-identical
    at any worker count.
 
-When ``workers=1``, or when the platform cannot host a process pool
-(sandboxes without semaphores, missing ``fork``/``spawn`` support), the
-runner executes the same task list serially in-process — same seeds,
-same ordering, same aggregate statistics.
+When ``workers=1`` the runner executes the same task list serially
+in-process; where the platform cannot host a process pool (sandboxes
+without semaphores, missing ``fork``/``spawn`` support) the pool falls
+back to threads (see :class:`~repro.runtime.queue.WorkerPool`).  Either
+way: same seeds, same ordering, same aggregate statistics.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from ..core.rng import RandomStreams
 from ..faults import FaultPlan, InvariantAuditor
 from ..obs import EMPTY_SNAPSHOT, MetricsSnapshot, merge_all
 from .queue import (
-    ExecutionReport,
     FailedRun,
     MonteCarloExecutionError,
     execute_runs,
@@ -354,7 +354,12 @@ class MonteCarloRunner:
         the indices that were in flight.
         """
         started = time.perf_counter()
-        report = self.execute()
+        report = execute_runs(
+            _execute,
+            self.task,
+            list(zip(range(self.runs), self.seeds())),
+            workers=self.workers,
+        )
         if not report.results:
             first = report.failures[0]
             raise MonteCarloExecutionError(
@@ -372,26 +377,4 @@ class MonteCarloRunner:
             uptime=uptime,
             wall_clock_s=time.perf_counter() - started,
             failures=tuple(report.failures),
-        )
-
-    def execute(
-        self,
-        consume: Optional[Callable[[RunResult], None]] = None,
-        on_failure: Optional[Callable[[FailedRun], None]] = None,
-    ) -> ExecutionReport:
-        """Run the schedule through the scheduler, optionally streaming.
-
-        With ``consume`` set, results are handed over one at a time in
-        index order and *not* retained — the shard executor uses this to
-        keep a 10k-run study at O(workers) resident results.
-        """
-        seeds = self.seeds()
-        pairs = list(zip(range(self.runs), seeds))
-        return execute_runs(
-            _execute,
-            self.task,
-            pairs,
-            workers=self.workers,
-            consume=consume,
-            on_failure=on_failure,
         )

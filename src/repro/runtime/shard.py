@@ -8,25 +8,26 @@ algebra in :mod:`repro.obs` is commutative and associative, shards can
 execute on different processes *or different hosts* and still merge to
 a study byte-identical to the unsharded ``--workers 1`` run.
 
-Shard artifact format, version 1 (``.mcr``, JSON lines)::
+Shard artifact format, version 2 (``.mcr``): a sealed file (see
+:mod:`repro.runtime.sealed`) whose header is the manifest and whose
+body is JSON lines::
 
-    {"kind":"mcr-header", "version":1, "task_digest":"sha256:…",
-     "label":…, "base_seed":…, "runs":…, "shard":…, "nshards":…,
-     "indices":[…]}
+    {"sha256":"…","base_seed":…,"indices":[…],"kind":"mcr-header",
+     "label":…,"nshards":…,"runs":…,"shard":…,"task_digest":"sha256:…",
+     "version":2}
     {"kind":"run", "index":k, "seed":…, "sample":…, "wall_clock_s":…,
      "fault_stream":[[t,key,action,[targets…]],…], "metrics":{…}}
     {"kind":"failed", "index":k, "seed":…, "error":…, "traceback":…}
-    {"kind":"mcr-footer", "completed":[…], "failed":[…],
-     "lines":n, "content_sha256":"…"}
 
 Every line is canonical JSON (sorted keys, compact separators).  Run
 lines appear in ascending index order and are **streamed**: the writer
 receives each result from the scheduler's in-order collector and writes
 it immediately, so executing a shard holds O(workers) results resident,
-never O(runs).  The footer carries a SHA-256 over every preceding byte,
-making the artifact content-addressed: the merge refuses a shard whose
-body does not hash to its footer (truncation, bit rot, or concatenation
-accidents all surface as :class:`ShardError`).
+never O(runs).  The seal covers the manifest and every line after it,
+so the merge refuses a shard that was truncated, bit-rotted or
+concatenated (:class:`ShardError`).  The artifact appears at its path
+only once sealed: a shard run that fails leaves any earlier artifact
+there untouched.
 
 Like the FaultPlan JSON convention, the format version is explicit and
 this module reads exactly the version it writes.
@@ -46,12 +47,10 @@ from ..faults import fault_stream_from_json, fault_stream_to_json
 from ..obs import MetricsSnapshot
 from .queue import ExecutionStats, FailedRun, execute_runs, resolve_workers
 from .runner import MonteCarloStudy, MonteCarloTask, RunResult, _execute, derive_seeds
+from .sealed import SealedWriter, SealError, iter_sealed_lines, read_header
 
 #: The shard artifact format version this module reads and writes.
-SHARD_FORMAT_VERSION = 1
-
-#: Conventional suffix for shard artifacts.
-SHARD_SUFFIX = ".mcr"
+SHARD_FORMAT_VERSION = 2
 
 
 class ShardError(ValueError):
@@ -131,17 +130,7 @@ class ShardManifest:
     version: int = SHARD_FORMAT_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "mcr-header",
-            "version": self.version,
-            "task_digest": self.task_digest,
-            "label": self.label,
-            "base_seed": self.base_seed,
-            "runs": self.runs,
-            "shard": self.shard,
-            "nshards": self.nshards,
-            "indices": list(self.indices),
-        }
+        return {"kind": "mcr-header", **dataclasses.asdict(self), "indices": list(self.indices)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShardManifest":
@@ -178,27 +167,22 @@ class ShardWriter:
     Used as the scheduler's ``consume``/``on_failure`` sinks: each
     result is serialized and dropped immediately, which is what keeps a
     10k-run shard at O(workers) resident results.  ``close`` seals the
-    artifact with the content-hash footer; an unsealed file is invalid
-    by construction (the reader requires the footer), so a crashed
-    shard run can never merge.
+    artifact and moves it into place; leaving the ``with`` block on an
+    exception discards it instead, so a crashed shard run never
+    produces a file that could merge.
     """
 
     def __init__(self, path: str, manifest: ShardManifest) -> None:
         self.path = str(path)
         self.manifest = manifest
-        self._hash = hashlib.sha256()
-        self._handle = open(self.path, "w", encoding="utf-8", newline="")
-        self._lines = 0
+        self._sealed = SealedWriter(self.path, manifest.to_dict())
         self.completed: List[int] = []
         self.failed: List[int] = []
-        self._closed = False
-        self._emit(manifest.to_dict())
+        #: The seal's hex SHA-256, set by :meth:`close`.
+        self.content_sha256 = ""
 
     def _emit(self, payload: dict) -> None:
-        line = _canonical_line(payload)
-        self._handle.write(line)
-        self._hash.update(line.encode("utf-8"))
-        self._lines += 1
+        self._sealed.write(_canonical_line(payload).encode("utf-8"))
 
     def write_result(self, result: RunResult) -> None:
         """Append one successful run (must arrive in index order)."""
@@ -232,34 +216,18 @@ class ShardWriter:
         )
         self.failed.append(failed.index)
 
-    @property
-    def content_sha256(self) -> str:
-        """Digest over every line written so far (final at close)."""
-        return self._hash.hexdigest()
-
     def close(self) -> None:
-        if self._closed:
-            return
-        footer = {
-            "kind": "mcr-footer",
-            "completed": self.completed,
-            "failed": self.failed,
-            "lines": self._lines,
-            "content_sha256": self._hash.hexdigest(),
-        }
-        self._handle.write(_canonical_line(footer))
-        self._handle.close()
-        self._closed = True
+        if not self.content_sha256:
+            self.content_sha256 = self._sealed.commit()
 
     def __enter__(self) -> "ShardWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Seal only clean executions; a crashed shard must stay invalid.
         if exc_type is None:
             self.close()
         else:
-            self._handle.close()
+            self._sealed.abort()
 
 
 ShardEntry = Union[Tuple[str, RunResult], Tuple[str, FailedRun]]
@@ -267,15 +235,11 @@ ShardEntry = Union[Tuple[str, RunResult], Tuple[str, FailedRun]]
 
 def read_manifest(path: str) -> ShardManifest:
     """Read just the header line of a shard artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    if not first:
-        raise ShardError(f"{path}: empty file")
     try:
-        payload = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise ShardError(f"{path}: malformed header line: {exc}") from None
-    return ShardManifest.from_dict(payload)
+        header = read_header(path)
+    except SealError as exc:
+        raise ShardError(str(exc)) from None
+    return ShardManifest.from_dict(header)
 
 
 def _result_from_payload(payload: dict) -> RunResult:
@@ -293,30 +257,18 @@ def iter_shard(path: str) -> Iterator[ShardEntry]:
     """Yield ``("run", RunResult)`` / ``("failed", FailedRun)`` entries.
 
     Entries stream in the order they were written (ascending index).
-    The content hash is verified incrementally; a missing footer, a
-    hash mismatch, or trailing bytes raise :class:`ShardError`.  O(1)
-    memory — the merge reads ten shards of a 100k-run study without
-    materializing any of them.
+    The seal is verified once the last line has been read: a mismatch
+    raises :class:`ShardError`, so consume the whole iterator before
+    trusting its entries.  O(1) memory — the merge reads ten shards of
+    a 100k-run study without materializing any of them.
     """
-    running = hashlib.sha256()
-    footer: Optional[dict] = None
-    body_lines = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if footer is not None:
-                raise ShardError(f"{path}: content after footer line")
+    try:
+        for line in iter_sealed_lines(path):
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ShardError(f"{path}: malformed line: {exc}") from None
             kind = payload.get("kind")
-            if kind == "mcr-footer":
-                footer = payload
-                continue
-            running.update(line.encode("utf-8"))
-            body_lines += 1
-            if kind == "mcr-header":
-                continue
             if kind == "run":
                 yield "run", _result_from_payload(payload)
             elif kind == "failed":
@@ -328,21 +280,8 @@ def iter_shard(path: str) -> Iterator[ShardEntry]:
                 )
             else:
                 raise ShardError(f"{path}: unknown line kind {kind!r}")
-    if footer is None:
-        raise ShardError(
-            f"{path}: no footer — the shard run did not complete cleanly"
-        )
-    if footer.get("content_sha256") != running.hexdigest():
-        raise ShardError(
-            f"{path}: content hash mismatch — artifact is corrupt "
-            f"(footer {footer.get('content_sha256')!r}, "
-            f"body {running.hexdigest()!r})"
-        )
-    if footer.get("lines") != body_lines:
-        raise ShardError(
-            f"{path}: footer records {footer.get('lines')} lines, "
-            f"found {body_lines}"
-        )
+    except SealError as exc:
+        raise ShardError(str(exc)) from None
 
 
 def load_shard(
@@ -399,8 +338,10 @@ def run_shard(
     The seed schedule is the **full** study's — :func:`derive_seeds`
     over all ``runs`` indices, then sliced to this shard's residue
     class — so the seed a run sees is independent of ``nshards``.
-    Results stream to ``out_path`` through :class:`ShardWriter` as the
-    scheduler completes them.
+    Results stream through :class:`ShardWriter` as the scheduler
+    completes them; ``out_path`` changes only once the artifact is
+    sealed, so if execution or a write fails the error propagates and
+    an earlier artifact at ``out_path`` stays intact.
     """
     started = time.perf_counter()
     indices = shard_indices(runs, shard, nshards)
@@ -424,15 +365,12 @@ def run_shard(
             consume=writer.write_result,
             on_failure=writer.write_failure,
         )
-        digest = writer.content_sha256
-        completed = len(writer.completed)
-        failed = len(writer.failed)
     return ShardRunReport(
         manifest=manifest,
         path=str(out_path),
-        content_sha256=digest,
-        completed=completed,
-        failed=failed,
+        content_sha256=writer.content_sha256,
+        completed=len(writer.completed),
+        failed=len(writer.failed),
         wall_clock_s=time.perf_counter() - started,
         stats=report.stats,
     )
@@ -540,7 +478,6 @@ def merge_shards(paths: Sequence[str]) -> MonteCarloStudy:
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
-    "SHARD_SUFFIX",
     "ShardError",
     "ShardManifest",
     "ShardRunReport",

@@ -7,37 +7,31 @@ only reasons to evict are capacity.  Two tiers:
 * **Memory** — an ``OrderedDict`` LRU bounded by total body bytes.
   A hit is a dict probe plus a move-to-end; this is the tier that
   serves thousands of requests per second.
-* **Disk** — one sealed file per digest (``<hex>.rsp``), also
-  LRU+size-bounded.  Sealed means self-verifying, like the shard
-  artifacts: a header line carries the body's SHA-256 and byte count,
-  and a read that fails verification deletes the file and reports a
-  miss — truncation or bit rot can only cost a recomputation, never a
-  wrong response.
+* **Disk** — one sealed file per digest (``<hex>.rsp``, the format of
+  :mod:`repro.runtime.sealed`), also LRU+size-bounded.  A read that
+  fails verification deletes the file and reports a miss — truncation
+  or bit rot can only cost a recomputation, never a wrong response.
 
-Writes are atomic (temp file + ``os.replace``), so a crashed service
-never leaves a half-written entry where the next boot would find it.
-The disk tier is optional (``disk_dir=None`` keeps the cache purely in
-memory, the test default).
+An entry appears on disk only once sealed; a crash leaves at most a
+``.tmp`` leftover, which the next boot deletes unread.  The disk tier
+is optional (``disk_dir=None`` keeps the cache purely in memory, the
+test default).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from ..runtime.sealed import TMP_SUFFIX, SealedWriter, read_sealed
+
 #: Disk entry format version (read == written, like the .mcr artifacts).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Suffix for sealed response files.
 CACHE_SUFFIX = ".rsp"
-
-
-def body_sha256(body: bytes) -> str:
-    return hashlib.sha256(body).hexdigest()
 
 
 @dataclass
@@ -51,10 +45,6 @@ class CacheStats:
     memory_evictions: int = 0
     disk_evictions: int = 0
     verify_failures: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
 
 class ResponseCache:
@@ -151,12 +141,16 @@ class ResponseCache:
         Files are indexed in name order (deterministic given a
         directory's contents); verification happens lazily at read
         time, so boot cost is one ``listdir``, not a full re-hash.
+        Unsealed ``.tmp`` leftovers of a crashed write are deleted.
         """
         assert self.disk_dir is not None
         for name in sorted(os.listdir(self.disk_dir)):
+            path = os.path.join(self.disk_dir, name)
+            if name.endswith(TMP_SUFFIX):
+                _remove(path)
+                continue
             if not name.endswith(CACHE_SUFFIX):
                 continue
-            path = os.path.join(self.disk_dir, name)
             try:
                 size = os.path.getsize(path)
             except OSError:
@@ -165,26 +159,16 @@ class ResponseCache:
             self._disk_bytes += size
 
     def _put_disk(self, key: str, body: bytes) -> None:
-        header = json.dumps(
-            {
-                "kind": "serve-cache",
-                "version": CACHE_FORMAT_VERSION,
-                "key": key,
-                "body_sha256": body_sha256(body),
-                "body_bytes": len(body),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8") + b"\n"
-        total = len(header) + len(body)
+        writer = SealedWriter(
+            self._path(key),
+            {"kind": "serve-cache", "key": key, "version": CACHE_FORMAT_VERSION},
+        )
+        total = writer.size + len(body)
         if total > self.max_disk_bytes:
+            writer.abort()
             return
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(body)
-        os.replace(tmp, path)
+        with writer:
+            writer.write(body)
         previous = self._disk.pop(key, None)
         if previous is not None:
             self._disk_bytes -= previous
@@ -194,40 +178,34 @@ class ResponseCache:
             evicted, size = self._disk.popitem(last=False)
             self._disk_bytes -= size
             self.stats.disk_evictions += 1
-            try:
-                os.remove(self._path(evicted))
-            except OSError:
-                pass
+            _remove(self._path(evicted))
 
     def _read_sealed(self, key: str) -> Optional[bytes]:
         """Read and verify one sealed file; purge it on any defect."""
         path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                header_line = handle.readline()
-                body = handle.read()
-            header = json.loads(header_line)
-            ok = (
-                header.get("kind") == "serve-cache"
-                and header.get("version") == CACHE_FORMAT_VERSION
-                and header.get("key") == key
-                and header.get("body_bytes") == len(body)
-                and header.get("body_sha256") == body_sha256(body)
-            )
+            header, body = read_sealed(path)
         except (OSError, ValueError):
-            ok = False
-            body = None
-        if not ok:
-            self.stats.verify_failures += 1
-            size = self._disk.pop(key, None)
-            if size is not None:
-                self._disk_bytes -= size
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-        return body
+            header, body = {}, None
+        if (
+            header.get("kind") == "serve-cache"
+            and header.get("version") == CACHE_FORMAT_VERSION
+            and header.get("key") == key
+        ):
+            return body
+        self.stats.verify_failures += 1
+        size = self._disk.pop(key, None)
+        if size is not None:
+            self._disk_bytes -= size
+        _remove(path)
+        return None
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 __all__ = [
@@ -235,5 +213,4 @@ __all__ = [
     "CACHE_SUFFIX",
     "CacheStats",
     "ResponseCache",
-    "body_sha256",
 ]

@@ -21,6 +21,10 @@ codec around :meth:`ScenarioService.handle`.  Responsibilities:
   can never poison the cache.
 * **Graceful drain** — :meth:`drain` stops new work, waits for
   in-flight runs, and leaves every accepted request answered.
+* **One pool** — runs go to the runtime's
+  :class:`~repro.runtime.queue.WorkerPool`.  A request whose worker
+  dies is retried once on the rebuilt pool; a computation's own error
+  is a 500 and leaves the pool alone.
 
 Response bodies are computed by :func:`compute_response`, a picklable
 module-level function: ``/v1/run`` bodies are exactly the canonical
@@ -34,17 +38,13 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Executor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..obs import MetricsRegistry, snapshot_json, to_prometheus
-from ..runtime.queue import resolve_workers
+from ..runtime.queue import WorkerPool, resolve_workers
 from ..runtime.runner import (
     MonteCarloRunner,
     _execute,
@@ -75,7 +75,7 @@ def run_response_body(request: ServeRequest) -> bytes:
     return (line + "\n").encode("utf-8")
 
 
-def mc_response_body(request: ServeRequest, workers: int = 1) -> bytes:
+def mc_response_body(request: ServeRequest) -> bytes:
     """The ``/v1/mc`` response: the study's canonical metrics JSONL.
 
     One line per run plus the merged line (failure count included) —
@@ -83,10 +83,7 @@ def mc_response_body(request: ServeRequest, workers: int = 1) -> bytes:
     worker count, because snapshots merge order-independently.
     """
     study = MonteCarloRunner(
-        request.to_task(),
-        runs=request.runs,
-        base_seed=request.base_seed,
-        workers=workers,
+        request.to_task(), runs=request.runs, base_seed=request.base_seed
     ).run()
     per_run, merged = study_metrics_entries(study)
     pieces = [
@@ -103,7 +100,7 @@ def compute_response(request: ServeRequest) -> bytes:
     bounded by ``workers`` no matter the request mix."""
     if request.endpoint == "run":
         return run_response_body(request)
-    return mc_response_body(request, workers=1)
+    return mc_response_body(request)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,10 @@ def _error_body(status: int, message: str) -> bytes:
 
 
 class ScenarioService:
-    """Deterministic scenario results over a bounded worker pool."""
+    """Deterministic scenario results over a bounded worker pool.
+
+    The service owns its pool, an injected ``executor`` included, and
+    :meth:`close` shuts it down."""
 
     def __init__(
         self,
@@ -156,8 +156,9 @@ class ScenarioService:
         self.timeout_s = float(timeout_s)
         self.cache = cache if cache is not None else ResponseCache()
         self._compute = compute
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: Executor = (
+            executor if executor is not None else WorkerPool(self.workers)
+        )
         self._inflight: Dict[str, "asyncio.Task[bytes]"] = {}
         self._jobs = 0
         self._draining = False
@@ -175,46 +176,19 @@ class ScenarioService:
         )
 
     # -- lifecycle ------------------------------------------------------
-    def _ensure_executor(self) -> Executor:
-        """The worker pool, created on first use and after breakage.
-
-        Prefers processes (a scenario run is CPU-bound Python); falls
-        back to threads on platforms that cannot host a process pool —
-        same responses, just slower, mirroring the runner's fallback.
-        """
-        if self._executor is None:
-            try:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            except (OSError, ImportError, NotImplementedError):
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
-
     async def _run_in_pool(self, request: ServeRequest) -> bytes:
-        """Dispatch a computation, recovering the pool once if needed.
+        """Compute one response body on the pool.
 
-        A broken process pool (dead worker) or a platform that refuses
-        one at first submit degrades to a fresh pool / thread executor
-        for the retry; the request fails only if the retry does.
+        A worker that dies mid-run breaks the process pool: the request
+        is retried once, and that resubmit rebuilds the pool.  Any other
+        error, including one the computation raises, propagates to the
+        waiters and leaves the pool as it is.
         """
         loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                self._ensure_executor(), self._compute, request
-            )
+            return await loop.run_in_executor(self._executor, self._compute, request)
         except BrokenProcessPool:
-            if self._owns_executor:
-                self._executor.shutdown(wait=False)
-                self._executor = None
-            return await loop.run_in_executor(
-                self._ensure_executor(), self._compute, request
-            )
-        except (OSError, PermissionError, NotImplementedError):
-            if not self._owns_executor:
-                raise
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-            return await loop.run_in_executor(
-                self._executor, self._compute, request
-            )
+            return await loop.run_in_executor(self._executor, self._compute, request)
 
     @property
     def draining(self) -> bool:
@@ -239,9 +213,7 @@ class ScenarioService:
             await asyncio.sleep(0)
 
     def close(self) -> None:
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._executor.shutdown(wait=True)
 
     # -- metrics --------------------------------------------------------
     def metrics_text(self) -> str:

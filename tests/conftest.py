@@ -15,6 +15,7 @@ and a modest example budget.
 
 from __future__ import annotations
 
+import errno
 import os
 
 import numpy as np
@@ -37,6 +38,27 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def _pool_available() -> bool:
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(abs, -1).result() == 1
+    except Exception:
+        return False
+
+
+#: Skip a test that needs real worker processes where none can start.
+needs_pool = pytest.mark.skipif(
+    not _pool_available(), reason="process pools unavailable on this platform"
+)
+
+
+def refuse_processes(*args, **kwargs):
+    """Stands in for ``ProcessPoolExecutor`` where none can be created."""
+    raise OSError(errno.ENOSYS, "no process pools here")
 
 
 @pytest.fixture

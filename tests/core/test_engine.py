@@ -76,7 +76,7 @@ class TestScheduling:
         for t in (1.0, 2.0, 3.0):
             sim.call_at(t, lambda: None)
         sim.run_until(10.0)
-        assert sim.executed_events == 3
+        assert sim.metrics.snapshot().counter_value("sim_events_executed_total") == 3
 
 
 class TestPeriodicTask:

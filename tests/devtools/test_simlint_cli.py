@@ -61,7 +61,7 @@ class TestRuleCatalog:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL006"):
+        for rule_id in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL007"):
             assert rule_id in out
 
 

@@ -129,6 +129,26 @@ class TestSL013ImportGraph:
     def test_declared_edges_silent(self):
         assert case_findings("sl013_dag_good") == []
 
+    def test_upward_imports_from_a_sim_layer_are_findings(self):
+        # Top-level runtime/cli imports from a city module break the
+        # repo's declared DAG; a deferred import is exempt.
+        index = ProjectIndex(load_project_config(Path(__file__).parents[2]))
+        for path in ("repro/runtime/__init__.py", "repro/cli.py", "repro/core/units.py"):
+            index.add_source("x = 1\n", path=path)
+        index.add_source(
+            "from repro.runtime import MonteCarloRunner\n"
+            "import repro.cli\n"
+            "from repro.core import units\n"
+            "def late():\n"
+            "    from repro.runtime import ScenarioTask\n",
+            path="repro/city/layering.py",
+        )
+        findings = list(get_project_rule("SL013").check(index))
+        assert [(f.line, f.message.split(",")[0]) for f in findings] == [
+            (2, "package 'city' imports 'cli'"),
+            (1, "package 'city' imports 'runtime'"),
+        ]
+
     def test_declared_table_must_be_acyclic(self):
         index = ProjectIndex(
             ProjectConfig(

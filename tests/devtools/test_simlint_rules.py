@@ -33,10 +33,10 @@ def lines_for(findings, rule):
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         assert [rule.id for rule in RULES] == [
-            "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
-            "SL008", "SL009",
+            "SL001", "SL002", "SL003", "SL004", "SL005", "SL007", "SL008",
+            "SL009",
         ]
 
     def test_every_rule_documented(self):
@@ -135,40 +135,6 @@ class TestSL005FloatTimeEquality:
     def test_chained_comparison_positions(self):
         findings = lint_source("ok = 0.0 <= now == deadline\n")
         assert lines_for(findings, "SL005") == [1]
-
-
-class TestSL006Layering:
-    def test_exact_lines(self):
-        findings = fixture_findings(
-            "sl006_layering.py", module="repro.city.sl006_layering"
-        )
-        assert {f.rule for f in findings} == {"SL006"}
-        assert lines_for(findings, "SL006") == [8, 9, 10]
-
-    def test_relative_imports_resolved(self):
-        findings = lint_source(
-            "from ..analysis.report import PaperComparison\n",
-            module="repro.experiment.fifty_year",
-        )
-        assert lines_for(findings, "SL006") == [1]
-
-    def test_from_package_import_submodule(self):
-        findings = lint_source(
-            "from ..analysis import report\n",
-            module="repro.experiment.fifty_year",
-        )
-        assert lines_for(findings, "SL006") == [1]
-
-    def test_diary_import_allowed(self):
-        assert lint_source(
-            "from ..analysis.diary import ExperimentDiary\n",
-            module="repro.experiment.fifty_year",
-        ) == []
-
-    def test_non_sim_layers_unconstrained(self):
-        source = "from repro.runtime import MonteCarloRunner\n"
-        assert lint_source(source, module="repro.cli") == []
-        assert lint_source(source, module="repro.analysis.report") == []
 
 
 class TestSL007NonTupleHeapEntry:

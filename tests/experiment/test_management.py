@@ -58,7 +58,9 @@ class TestSuccessionIntegration:
         cloud.miss_probability_fn = lambda t: 1.0  # always fumble
         cloud.deploy()
         sim.run_until(units.years(11.0))
-        assert cloud.missed_renewals == 1
+        assert sim.metrics.snapshot().counter_value(
+            "net_domain_renewals_missed_total", entity=cloud.name
+        ) == 1
 
 
 class TestCommissioningIntegration:

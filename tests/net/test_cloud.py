@@ -78,8 +78,9 @@ class TestDomainLease:
         cloud = CloudEndpoint(sim, renewal_miss_probability=0.0)
         cloud.deploy()
         sim.run_until(units.years(50.0) + units.DAY)
-        assert cloud.domain_renewals == 5
-        assert cloud.missed_renewals == 0
+        snapshot = sim.metrics.snapshot()
+        assert snapshot.counter_value("net_domain_renewals_total", entity=cloud.name) == 5
+        assert snapshot.counter_value("net_domain_renewals_missed_total", entity=cloud.name) == 0
         assert cloud.domain_up
 
     def test_lease_constant(self):

@@ -1,19 +1,26 @@
 """Tests for repro.runtime.queue — the dynamic work-queue scheduler."""
 
+import errno
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from repro.core import units
+from repro.obs import snapshot_json
 from repro.runtime import (
     MonteCarloExecutionError,
     MonteCarloRunner,
+    ScenarioTask,
     execute_runs,
     resolve_workers,
+    study_metrics_entries,
 )
+from repro.runtime import queue
 from repro.runtime.queue import MAX_CHUNK
 from repro.runtime.runner import _execute, derive_seeds
+from tests.conftest import needs_pool, refuse_processes
 
 
 def _pairs(runs, base_seed=7):
@@ -65,21 +72,6 @@ class _AlwaysExits:
         if index == self.kill_index:
             os._exit(13)
         return float(index)
-
-
-def _pool_available() -> bool:
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(abs, -1).result() == 1
-    except Exception:
-        return False
-
-
-needs_pool = pytest.mark.skipif(
-    not _pool_available(), reason="process pools unavailable on this platform"
-)
 
 
 class TestResolveWorkers:
@@ -203,3 +195,39 @@ class TestBrokenPoolRecovery:
         assert [f.index for f in report.failures] == [2]
         assert "worker process died" in report.failures[0].error
         assert [r.index for r in report.results] == [0, 1, 3, 4, 5]
+
+
+class TestPoolFailuresAreNarrow:
+    """Only a pool that cannot start falls back; other errors propagate."""
+
+    @needs_pool
+    def test_consume_oserror_propagates(self):
+        seen = []
+
+        def consume(result):
+            if result.index == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            seen.append(result.index)
+
+        with pytest.raises(OSError, match="No space left"):
+            execute_runs(_execute, _float_task, _pairs(8), workers=2, consume=consume)
+        assert seen == [0, 1, 2]
+
+    def test_unstartable_pool_runs_on_threads_identically(self, monkeypatch):
+        task = ScenarioTask(
+            "owned-only", horizon=units.years(1.0), report_interval=units.days(7.0)
+        )
+
+        def study_jsonl(workers):
+            study = MonteCarloRunner(task, runs=4, base_seed=7, workers=workers).run()
+            per_run, merged = study_metrics_entries(study)
+            return [snapshot_json(s, **meta) for meta, s in (*per_run, merged)]
+
+        serial = study_jsonl(1)
+        monkeypatch.setattr(queue, "ProcessPoolExecutor", refuse_processes)
+        with pytest.warns(RuntimeWarning, match="2 worker thread") as caught:
+            assert study_jsonl(2) == serial
+        assert len(caught) == 1
+        with pytest.warns(RuntimeWarning):
+            report = execute_runs(_execute, _float_task, _pairs(6), workers=2)
+        assert report.stats.mode == "thread"

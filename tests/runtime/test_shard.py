@@ -1,7 +1,9 @@
 """Tests for repro.runtime.shard — artifacts, manifests, exact merge."""
 
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.runtime import (
     MonteCarloRunner,
     ScenarioTask,
     ShardError,
+    ShardWriter,
     derive_seeds,
     load_shard,
     merge_shards,
@@ -161,8 +164,8 @@ class TestShardArtifact:
             out_path=str(path), workers=1,
         )
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-1]))  # drop the footer
-        with pytest.raises(ShardError, match="no footer"):
+        path.write_text("".join(lines[:-1]))  # drop the last run
+        with pytest.raises(ShardError, match="truncated or corrupt"):
             load_shard(str(path))
 
     def test_not_a_shard_file(self, tmp_path):
@@ -181,6 +184,33 @@ class TestShardArtifact:
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ShardError, match="version 99"):
             read_manifest(str(path))
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_keeps_earlier_artifact(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "s0.mcr"
+        run_shard(
+            _float_task, runs=8, base_seed=1, shard=0, nshards=1,
+            out_path=str(path), workers=1,
+        )
+        sealed = path.read_bytes()
+        write_result = ShardWriter.write_result
+
+        def disk_full_at_five(self, result):
+            if result.index == 5:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_result(self, result)
+
+        monkeypatch.setattr(ShardWriter, "write_result", disk_full_at_five)
+        for out in (path, tmp_path / "fresh.mcr"):
+            with pytest.raises(OSError, match="No space left"):
+                run_shard(
+                    _float_task, runs=8, base_seed=2, shard=0, nshards=1,
+                    out_path=str(out), workers=workers,
+                )
+        assert os.listdir(tmp_path) == ["s0.mcr"]
+        assert path.read_bytes() == sealed
+        assert len(load_shard(str(path))[1]) == 8
 
 
 def _write_partition(tmp_path, runs, nshards, base_seed=9, workers=1):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from repro.serve import ResponseCache
-from repro.serve.cache import CACHE_SUFFIX, body_sha256
+from repro.serve.cache import CACHE_FORMAT_VERSION, CACHE_SUFFIX
 
 
 def test_memory_roundtrip_and_stats():
@@ -65,9 +66,13 @@ def test_disk_file_is_sealed(tmp_path):
     header_line, body = raw.split(b"\n", 1)
     header = json.loads(header_line)
     assert header["kind"] == "serve-cache"
+    assert header["version"] == CACHE_FORMAT_VERSION == 2
     assert header["key"] == "deadbeef"
-    assert header["body_bytes"] == len(body) == 10
-    assert header["body_sha256"] == body_sha256(b"body-bytes")
+    # The seal covers every byte after itself: the rest of the header
+    # and the body.
+    seal = b'{"sha256":"' + header["sha256"].encode() + b'",'
+    assert raw.startswith(seal)
+    assert header["sha256"] == hashlib.sha256(raw[len(seal):]).hexdigest()
     assert body == b"body-bytes"
 
 
@@ -96,11 +101,17 @@ def test_adopts_prior_process_entries(tmp_path):
     first = ResponseCache(disk_dir=str(tmp_path))
     first.put("k1", b"one")
     first.put("k2", b"two")
+    # A crashed put leaves an unsealed temp file: never adopted, never
+    # counted, and deleted at the next boot.
+    stale = tmp_path / ("k3" + CACHE_SUFFIX + ".tmp")
+    stale.write_bytes(b"half-written")
     second = ResponseCache(disk_dir=str(tmp_path))
     assert second.get("k1") == b"one"
     assert second.get("k2") == b"two"
+    assert second.get("k3") is None
     assert second.stats.disk_hits == 2
     assert second.disk_bytes == first.disk_bytes
+    assert not stale.exists()
 
 
 def test_disk_lru_evicts_files(tmp_path):

@@ -10,12 +10,17 @@ would hide it.
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 import threading
-
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from conftest import run_async
+from repro.runtime import queue
 from repro.serve import ResponseCache, ScenarioService, parse_request
+from tests.conftest import needs_pool, refuse_processes
 
 
 def make_request(seed: int):
@@ -89,10 +94,8 @@ def test_cache_hit_never_touches_pool():
     async def scenario():
         service = make_service(compute)
         first = await service.handle(make_request(seed=3))
-        # Break the pool on purpose: a hit must not need it.
+        # Shut the pool down on purpose: a hit must not need it.
         service.close()
-        service._executor = None
-        service._owns_executor = False
         second = await service.handle(make_request(seed=3))
         return first, second
 
@@ -230,3 +233,60 @@ def test_compute_failure_is_500_and_not_cached():
         service.close()
 
     run_async(scenario())
+
+
+def _disk_error(request):
+    raise OSError(errno.EIO, "input/output error")
+
+
+def _fake_compute(request):
+    return f"fake:{request.seed}\n".encode()
+
+
+@dataclass(frozen=True)
+class _ExitOnce:
+    """Kills its worker process on the first call, answers afterwards."""
+
+    sentinel: str
+
+    def __call__(self, request):
+        if not os.path.exists(self.sentinel):
+            open(self.sentinel, "w").close()
+            os._exit(13)
+        return b"survived\n"
+
+
+def _answer_on_own_pool(compute):
+    """One request through a service on its default pool: status, body,
+    the pool's kind and rebuild count, and the warnings raised."""
+
+    async def scenario():
+        service = ScenarioService(workers=1, cache=ResponseCache(), compute=compute)
+        response = await service.handle(make_request(seed=4))
+        service.close()
+        pool = service._executor
+        return response.status, response.body, pool.kind, pool.rebuilds
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = run_async(scenario())
+    return (*outcome, [w.category for w in caught])
+
+
+@needs_pool
+def test_compute_oserror_is_500_and_keeps_process_pool():
+    status, body, *pool = _answer_on_own_pool(_disk_error)
+    assert (status, pool) == (500, ["process", 0, []])
+    assert b"OSError: [Errno 5] input/output error" in body
+
+
+@needs_pool
+def test_dead_worker_is_retried_on_rebuilt_pool(tmp_path):
+    outcome = _answer_on_own_pool(_ExitOnce(str(tmp_path / "died-once")))
+    assert outcome == (200, b"survived\n", "process", 1, [])
+
+
+def test_unstartable_pool_falls_back_to_threads(monkeypatch):
+    monkeypatch.setattr(queue, "ProcessPoolExecutor", refuse_processes)
+    outcome = _answer_on_own_pool(_fake_compute)
+    assert outcome == (200, b"fake:4\n", "thread", 0, [RuntimeWarning])
