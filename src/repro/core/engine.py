@@ -291,7 +291,8 @@ class Simulation:
     # ------------------------------------------------------------------
     def record(self, channel: str, message: str = "", **data: Any) -> None:
         """Append a timestamped observation to the run log."""
-        record = LogRecord(self.now, channel, message, dict(data))
+        # ``**data`` is a fresh dict built for this call: keep it, no copy.
+        record = LogRecord(self.now, channel, message, data)
         self.log.append(record)
         index = self._log_index.get(channel)
         if index is None:

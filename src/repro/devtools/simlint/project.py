@@ -13,7 +13,7 @@ once and extracts
   ``TYPE_CHECKING``-only flagged) — SL013;
 * every RNG stream claim: string literals (and f-string prefixes) passed
   to ``RandomStreams.get`` / ``Simulation.rng`` / ``*.streams.get`` /
-  ``fork`` — SL010;
+  ``*.streams.exponentials`` / ``fork`` — SL010;
 * every :class:`~repro.obs.metrics.MetricsRegistry` registration
   (name, instrument kind, label keys, literal agg/edges) — SL012;
 * every topology mutation site (dependency-list mutation, entity
@@ -86,7 +86,7 @@ class StreamFact:
     module: str
     path: str
     line: int
-    api: str                      # "rng" | "get" | "fork"
+    api: str                      # "rng" | "get" | "exponentials" | "fork"
     name: Optional[str]           # literal stream name, if statically known
     prefix: Optional[str] = None  # leading literal of an f-string argument
 
@@ -509,7 +509,7 @@ class _FactExtractor(ast.NodeVisitor):
                 owner = func.value.attr
                 if owner in ("depends_on", "dependents"):
                     self._note_mutation(node.lineno, f".{owner}.{attr}(...)")
-            if attr in ("rng", "get", "fork"):
+            if attr in ("rng", "get", "exponentials", "fork"):
                 self._maybe_stream_claim(node, attr)
             if attr in ("counter", "gauge", "gauge_fn", "histogram"):
                 self._maybe_metric_registration(node, attr)
@@ -531,7 +531,7 @@ class _FactExtractor(ast.NodeVisitor):
 
     def _maybe_stream_claim(self, node: ast.Call, api: str) -> None:
         assert isinstance(node.func, ast.Attribute)
-        if api in ("get", "fork") and not self._streamsish(node.func.value):
+        if api != "rng" and not self._streamsish(node.func.value):
             return
         if not node.args:
             return

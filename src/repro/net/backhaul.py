@@ -43,6 +43,13 @@ class Backhaul(Entity):
     ``up`` tracks short outages (distinct from entity death); a packet
     arriving during an outage is lost.  Subclasses set economics and
     sunset behaviour.
+
+    The outage process alternates exponential up times (mean ``mtbf``)
+    and down times (mean ``mttr``), drawn from the run's shared,
+    block-drawn ``"backhaul-outages"`` stream in event order, and
+    schedules one ``outage:<name>`` or ``restore:<name>`` event at a
+    time.  A backhaul that dies while down still closes its downtime at
+    the pending restore event; no outage follows it.
     """
 
     TIER = "backhaul"
@@ -77,23 +84,35 @@ class Backhaul(Entity):
         self._down_since: Optional[float] = None
 
     def on_deploy(self) -> None:
+        # Outage/restore events are most of a faulted run's events, so
+        # what each one needs is fetched once here, as ``EdgeDevice``
+        # fetches its streams: the shared block-drawn "backhaul-outages"
+        # stream (every backhaul draws from it in event order), the
+        # queue's ``push`` (looked up on the instance, so a class-level
+        # wrapper still sees every call) and both labels.
+        self._draw = self.sim.streams.exponentials("backhaul-outages").draw
+        self._push = self.sim.events.push
+        self._outage_label = f"outage:{self.name}"
+        self._restore_label = f"restore:{self.name}"
         self._schedule_next_outage()
 
+    # Both handlers push ``now + delay`` straight onto the queue: an
+    # exponential delay is never negative, so ``call_at``'s past-time
+    # check could never fire.
     def _schedule_next_outage(self) -> None:
-        rng = self.sim.rng("backhaul-outages")
-        delay = float(rng.exponential(self.outage_model.mtbf))
-        self.sim.call_in(delay, self._outage_begins, label=f"outage:{self.name}")
+        delay = self._draw(self.outage_model.mtbf)
+        self._push(self.sim.now + delay, self._outage_begins, 0, self._outage_label)
 
     def _outage_begins(self) -> None:
         if not self.alive:
             return
+        sim = self.sim
         self.up = False
         self._c_outages.value += 1
-        self._down_since = self.sim.now
-        self.sim.record("backhaul-outage", self.name)
-        rng = self.sim.rng("backhaul-outages")
-        duration = float(rng.exponential(self.outage_model.mttr))
-        self.sim.call_in(duration, self._outage_ends, label=f"restore:{self.name}")
+        self._down_since = sim.now
+        sim.record("backhaul-outage", self.name)
+        duration = self._draw(self.outage_model.mttr)
+        self._push(sim.now + duration, self._outage_ends, 0, self._restore_label)
 
     def _outage_ends(self) -> None:
         if self._down_since is not None:

@@ -52,7 +52,11 @@ class SealedWriter:
         rest = (fields[1:] + "\n").encode("utf-8")
         self._hash = hashlib.sha256(rest)
         self._handle = open(self._tmp, "wb")
-        self._handle.write(_SEAL_KEY + b"0" * 64 + b'",' + rest)
+        try:
+            self._handle.write(_SEAL_KEY + b"0" * 64 + b'",' + rest)
+        except BaseException:
+            self.abort()
+            raise
         #: Bytes in the file so far, header line included.
         self.size = _SEAL_BYTES + len(rest)
 

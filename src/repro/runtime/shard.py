@@ -176,6 +176,9 @@ class ShardWriter:
         self.path = str(path)
         self.manifest = manifest
         self._sealed = SealedWriter(self.path, manifest.to_dict())
+        # The slice's indices not yet written, as a set: one membership
+        # test per entry, not a scan of the whole slice.
+        self._unwritten = set(manifest.indices)
         self.completed: List[int] = []
         self.failed: List[int] = []
         #: The seal's hex SHA-256, set by :meth:`close`.
@@ -184,12 +187,20 @@ class ShardWriter:
     def _emit(self, payload: dict) -> None:
         self._sealed.write(_canonical_line(payload).encode("utf-8"))
 
+    def _claim(self, index: int) -> None:
+        """Admit ``index`` once: it must be in the slice and unwritten."""
+        try:
+            self._unwritten.remove(index)
+        except KeyError:
+            if index in self.manifest.indices:
+                raise ShardError(f"run index {index} was already written") from None
+            raise ShardError(
+                f"run index {index} is not in this shard's slice"
+            ) from None
+
     def write_result(self, result: RunResult) -> None:
         """Append one successful run (must arrive in index order)."""
-        if result.index not in self.manifest.indices:
-            raise ShardError(
-                f"run index {result.index} is not in this shard's slice"
-            )
+        self._claim(result.index)
         self._emit(
             {
                 "kind": "run",
@@ -205,6 +216,7 @@ class ShardWriter:
 
     def write_failure(self, failed: FailedRun) -> None:
         """Append one failed-run record."""
+        self._claim(failed.index)
         self._emit(
             {
                 "kind": "failed",

@@ -13,9 +13,10 @@ only reasons to evict are capacity.  Two tiers:
   or bit rot can only cost a recomputation, never a wrong response.
 
 An entry appears on disk only once sealed; a crash leaves at most a
-``.tmp`` leftover, which the next boot deletes unread.  The disk tier
-is optional (``disk_dir=None`` keeps the cache purely in memory, the
-test default).
+``.tmp`` leftover, which the next boot deletes unread.  A write that
+fails (a full disk) is counted and leaves the entry in memory only.
+The disk tier is optional (``disk_dir=None`` keeps the cache purely in
+memory, the test default).
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class CacheStats:
     memory_evictions: int = 0
     disk_evictions: int = 0
     verify_failures: int = 0
+    #: Disk-tier writes that failed (full disk, I/O error); the entry
+    #: stays in memory only and the response is answered as usual.
+    disk_write_failures: int = 0
 
 
 class ResponseCache:
@@ -159,16 +163,23 @@ class ResponseCache:
             self._disk_bytes += size
 
     def _put_disk(self, key: str, body: bytes) -> None:
-        writer = SealedWriter(
-            self._path(key),
-            {"kind": "serve-cache", "key": key, "version": CACHE_FORMAT_VERSION},
-        )
-        total = writer.size + len(body)
-        if total > self.max_disk_bytes:
-            writer.abort()
+        # A disk that cannot take the entry costs its disk copy, not the
+        # response: the writer aborts (no ``.tmp`` is left), the failure
+        # is counted, and the memory tier still answers.
+        try:
+            writer = SealedWriter(
+                self._path(key),
+                {"kind": "serve-cache", "key": key, "version": CACHE_FORMAT_VERSION},
+            )
+            total = writer.size + len(body)
+            if total > self.max_disk_bytes:
+                writer.abort()
+                return
+            with writer:
+                writer.write(body)
+        except OSError:
+            self.stats.disk_write_failures += 1
             return
-        with writer:
-            writer.write(body)
         previous = self._disk.pop(key, None)
         if previous is not None:
             self._disk_bytes -= previous

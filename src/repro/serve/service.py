@@ -240,6 +240,9 @@ class ScenarioService:
         registry.gauge("serve_cache_verify_failures", agg="sum").set(
             stats.verify_failures
         )
+        registry.gauge("serve_cache_disk_write_failures", agg="sum").set(
+            stats.disk_write_failures
+        )
         return to_prometheus(registry.snapshot())
 
     # -- the request path ----------------------------------------------

@@ -1,8 +1,10 @@
 """Tests for repro.core.rng."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.rng import RandomStreams
+from repro.core.rng import EXPONENTIAL_BLOCK, RandomStreams
 
 
 class TestRandomStreams:
@@ -110,3 +112,55 @@ class TestRandomStreams:
 
     def test_repr_mentions_seed(self):
         assert "seed=5" in repr(RandomStreams(seed=5))
+
+
+class TestBlockDrawnExponentials:
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        scales=st.lists(
+            st.floats(
+                min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        draws=st.integers(
+            min_value=EXPONENTIAL_BLOCK + 1, max_value=3 * EXPONENTIAL_BLOCK
+        ),
+    )
+    def test_block_draws_equal_scalar_draws(self, seed, scales, draws):
+        # The scale sequence cycles across more than one block, so every
+        # run crosses at least one refill boundary.
+        drawer = RandomStreams(seed=seed).exponentials("outages")
+        scalar = RandomStreams(seed=seed).get("outages")
+        for k in range(draws):
+            scale = scales[k % len(scales)]
+            assert drawer.draw(scale) == float(scalar.exponential(scale))
+
+    def test_same_drawer_per_name(self):
+        streams = RandomStreams(seed=0)
+        assert streams.exponentials("x") is streams.exponentials("x")
+        assert streams.exponentials("x") is not streams.exponentials("y")
+
+    def test_get_refuses_a_block_drawn_name(self):
+        streams = RandomStreams(seed=0)
+        streams.exponentials("x")
+        with pytest.raises(ValueError, match="block-drawn"):
+            streams.get("x")
+
+    def test_block_draw_refuses_a_name_from_get(self):
+        streams = RandomStreams(seed=0)
+        streams.get("x")
+        with pytest.raises(ValueError, match="handed out by get"):
+            streams.exponentials("x")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStreams(seed=0).exponentials("")
+
+    def test_names_include_block_drawn_streams(self):
+        streams = RandomStreams(seed=0)
+        streams.get("b")
+        streams.exponentials("a")
+        assert list(streams.names()) == ["a", "b"]

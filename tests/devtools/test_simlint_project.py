@@ -75,6 +75,24 @@ class TestSL010DuplicateStreams:
         # faults/, and sim.rng claims are all sanctioned.
         assert case_findings("sl010_good") == []
 
+    def test_block_drawn_claim_counts(self):
+        # A block-drawn claim shares the generator like any other, so it
+        # collides across packages just as ``get`` does.
+        index = ProjectIndex()
+        index.add_source(
+            "def wire(sim):\n"
+            "    return sim.streams.exponentials('outages').draw\n",
+            path="repro/net/link.py",
+        )
+        index.add_source(
+            "def cost(streams):\n"
+            "    return streams.get('outages')\n",
+            path="repro/econ/cost.py",
+        )
+        findings = lint_index(index)
+        assert rules_of(findings) == {"SL010"}
+        assert len(findings) == 2
+
 
 class TestSL011TopologyMutations:
     def test_unbumped_mutations_fire(self):

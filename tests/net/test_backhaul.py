@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import units
+from repro.core import RandomStreams, Simulation, units
 from repro.net import (
     CampusBackhaul,
     CellularBackhaul,
@@ -61,6 +61,73 @@ class TestBackhaulOutages:
         count = backhaul.outages
         sim.run_until(units.years(50.0))
         assert backhaul.outages == count
+
+
+def _trace_labels(sim, kinds):
+    """Record ``(time, label)`` of every executed event of ``kinds``."""
+    seen = []
+
+    def trace(event):
+        if event.label.split(":", 1)[0] in kinds:
+            seen.append((event.time, event.label))
+
+    sim.trace_executed = trace
+    return seen
+
+
+class TestOutageProcess:
+    def test_interleaved_backhauls_replay_scalar_draws(self):
+        sim = Simulation(seed=11)
+        campus = CampusBackhaul(sim, name="campus")
+        opaque = OpaqueBackhaul(sim, name="opaque")
+        seen = _trace_labels(sim, ("outage", "restore", "deploy"))
+        campus.deploy()
+        sim.call_at(units.years(1.0), opaque.deploy, label="deploy:opaque")
+        horizon = units.years(10.0)
+        sim.run_until(horizon)
+
+        # Replay: one scalar draw per deploy/outage/restore, from a fresh
+        # copy of the shared stream, in the order the events ran.
+        stream = RandomStreams(seed=11).get("backhaul-outages")
+        models = {"campus": campus.outage_model, "opaque": opaque.outage_model}
+
+        def after(time, mean):
+            return time + float(stream.exponential(mean))
+
+        next_up = {"campus": ("outage", after(0.0, models["campus"].mtbf))}
+        for time, label in seen:
+            kind, name = label.split(":", 1)
+            model = models[name]
+            if kind != "deploy":
+                assert (kind, time) == next_up[name]
+            if kind == "outage":
+                next_up[name] = ("restore", after(time, model.mttr))
+            else:
+                next_up[name] = ("outage", after(time, model.mtbf))
+        # Nothing was dropped: each backhaul's next event lies past the end.
+        assert all(time > horizon for _kind, time in next_up.values())
+        names = [label.split(":", 1)[1] for _t, label in seen]
+        switches = sum(a != b for a, b in zip(names, names[1:]))
+        assert switches > 10  # the two processes really interleave
+        assert campus.outages + opaque.outages == sum(
+            label.startswith("outage:") for _t, label in seen
+        )
+
+    def test_killed_while_down_closes_downtime_at_restore(self, sim):
+        backhaul = CampusBackhaul(sim, name="campus")
+        seen = _trace_labels(sim, ("outage", "restore"))
+        backhaul.deploy()
+        while backhaul.up:
+            assert sim.step()
+        went_down = sim.now
+        backhaul.fail()
+        sim.run_until(units.years(10.0))
+
+        assert [label for _t, label in seen] == ["outage:campus", "restore:campus"]
+        restored = seen[1][0]
+        assert backhaul.downtime_s == restored - went_down
+        assert backhaul.outages == 1
+        assert not backhaul.carries_traffic()
 
 
 class TestCellularSunset:

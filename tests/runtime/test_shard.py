@@ -14,9 +14,12 @@ from repro.faults import FaultPlan, KillFault, Selector
 from repro.obs import snapshot_json
 from repro.runtime import (
     SHARD_FORMAT_VERSION,
+    FailedRun,
     MonteCarloRunner,
+    RunResult,
     ScenarioTask,
     ShardError,
+    ShardManifest,
     ShardWriter,
     derive_seeds,
     load_shard,
@@ -185,6 +188,22 @@ class TestShardArtifact:
         with pytest.raises(ShardError, match="version 99"):
             read_manifest(str(path))
 
+    def test_writer_admits_each_slice_index_once(self, tmp_path):
+        manifest = ShardManifest(
+            task_digest="sha256:x", label="x", base_seed=1, runs=6,
+            shard=0, nshards=2, indices=(0, 2, 4),
+        )
+        with ShardWriter(str(tmp_path / "s0.mcr"), manifest) as writer:
+            writer.write_result(RunResult(index=0, seed=1, sample=0.5))
+            with pytest.raises(ShardError, match="not in this shard's slice"):
+                writer.write_result(RunResult(index=3, seed=1, sample=0.5))
+            with pytest.raises(ShardError, match="already written"):
+                writer.write_result(RunResult(index=0, seed=1, sample=0.5))
+            writer.write_failure(FailedRun(index=2, seed=1, error="boom"))
+            with pytest.raises(ShardError, match="already written"):
+                writer.write_result(RunResult(index=2, seed=1, sample=0.5))
+        assert writer.completed == [0]
+        assert writer.failed == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_run_keeps_earlier_artifact(self, tmp_path, monkeypatch, workers):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -131,6 +132,31 @@ def test_put_is_idempotent(tmp_path):
     assert len(cache) == 1
     assert len(os.listdir(tmp_path)) == 1
     assert cache.get("k") == b"same"
+
+
+def test_full_disk_keeps_entry_in_memory(tmp_path, monkeypatch):
+    # The disk refuses even the header line: the writer must not leave
+    # its ``.tmp`` behind, and the entry is still served from memory.
+    from repro.runtime import sealed
+
+    class FullFile:
+        def __init__(self, path, mode):
+            self._handle = open(path, mode)
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self):
+            self._handle.close()
+
+    monkeypatch.setattr(sealed, "open", FullFile, raising=False)
+    cache = ResponseCache(disk_dir=str(tmp_path))
+    cache.put("k", b"body")
+    assert cache.stats.disk_write_failures == 1
+    assert os.listdir(tmp_path) == []
+    assert cache.disk_bytes == 0
+    assert cache.get("k") == b"body"
+    assert cache.stats.memory_hits == 1
 
 
 def test_put_rejects_non_bytes():

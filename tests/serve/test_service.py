@@ -235,6 +235,47 @@ def test_compute_failure_is_500_and_not_cached():
     run_async(scenario())
 
 
+def test_full_disk_still_answers_200_from_memory(tmp_path, monkeypatch):
+    from repro.serve import cache as cache_module
+
+    def compute(request):
+        return f"body-for-seed-{request.seed}\n".encode()
+
+    async def first_answer(service):
+        response = await service.handle(make_request(seed=4))
+        await wait_until(lambda: service.inflight_jobs == 0)
+        return response
+
+    def disk_service(name):
+        return ScenarioService(
+            cache=ResponseCache(disk_dir=str(tmp_path / name)),
+            compute=compute,
+            executor=ThreadPoolExecutor(max_workers=1),
+        )
+
+    healthy = disk_service("healthy")
+    expected = run_async(first_answer(healthy))
+    healthy.close()
+    assert expected.status == 200
+
+    class FullDisk(cache_module.SealedWriter):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cache_module, "SealedWriter", FullDisk)
+    service = disk_service("full")
+    first = run_async(first_answer(service))
+    assert (first.status, first.cache) == (200, "miss")
+    assert first.body == expected.body
+    assert os.listdir(tmp_path / "full") == []  # aborted: no .tmp left
+    assert service.cache.stats.disk_write_failures == 1
+    assert "serve_cache_disk_write_failures 1" in service.metrics_text()
+    again = run_async(first_answer(service))
+    assert (again.status, again.cache, again.body) == (200, "hit", expected.body)
+    assert service.cache.stats.memory_hits == 1
+    service.close()
+
+
 def _disk_error(request):
     raise OSError(errno.EIO, "input/output error")
 
