@@ -23,10 +23,10 @@ Output is plain text, one artifact per subcommand, suitable for piping.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from typing import List, Optional
-
-from .core import units
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
@@ -44,89 +44,80 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fault_plan(path: Optional[str]):
-    """Load ``--faults PATH``; exits with code 2 on a malformed plan."""
-    if path is None:
-        return None
-    from .faults import FaultPlanError, load_plan
-
-    try:
-        return load_plan(path)
-    except (OSError, FaultPlanError) as exc:
-        print(f"cannot load fault plan: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+class UsageError(Exception):
+    """A bad command line; :func:`main` prints it as one
+    ``repro <cmd>: error: <message>`` line and exits 2, as it does a
+    :class:`~repro.serve.request.RequestError`."""
 
 
-def _write_metrics_file(args: argparse.Namespace, per_run, merged=None) -> None:
-    """Write ``--metrics PATH`` output in ``--metrics-format``."""
-    from .obs import write_metrics
+def _request(args: argparse.Namespace, **fields):
+    """Parse ``run``/``mc`` flags through the one request validator.
 
-    lines = write_metrics(
-        args.metrics, per_run, merged=merged, fmt=args.metrics_format
+    The payload is the one ``/v1/<command>`` would receive, so a bad
+    input gets the served 400's message; only the serving work ceilings
+    are lifted.  Raises :class:`~repro.serve.request.RequestError`, or
+    :class:`UsageError` when the ``--faults`` file cannot be read.
+    """
+    from .serve.request import parse_request
+
+    payload = {
+        "scenario": args.scenario,
+        "years": args.years,
+        "report_days": args.report_days,
+        "audit": args.audit,
+        **fields,
+    }
+    if args.faults is not None:
+        try:
+            with open(args.faults, "r", encoding="utf-8") as handle:
+                payload["faults"] = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"bad fault plan: {exc}") from exc
+    return parse_request(
+        payload, args.command, max_years=math.inf, max_runs=math.inf
     )
-    print(f"metrics: {lines} snapshot(s) -> {args.metrics}")
 
 
-def _config_error(args: argparse.Namespace, exc: ValueError) -> int:
-    """Report a rejected scenario config as a one-line usage error."""
-    print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-    return 2
+def _write_metrics(args: argparse.Namespace, snapshot, jsonl) -> None:
+    """Write ``--metrics PATH``: the bytes ``jsonl()`` returns, or
+    ``snapshot`` as Prometheus text with ``--metrics-format prom``."""
+    if args.metrics_format == "prom":
+        from .obs import to_prometheus
+
+        body, count = to_prometheus(snapshot).encode("utf-8"), 1
+    else:
+        body = jsonl()
+        count = body.count(b"\n")
+    with open(args.metrics, "wb") as handle:
+        handle.write(body)
+    print(f"metrics: {count} snapshot(s) -> {args.metrics}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiment import SCENARIOS, scenario_config
+    from .runtime import run_metrics_jsonl
 
-    if args.scenario not in SCENARIOS:
-        print(
-            f"unknown scenario {args.scenario!r}; options: {sorted(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
-    plan = _load_fault_plan(args.faults)
-    try:
-        config = scenario_config(
-            args.scenario,
-            args.seed,
-            horizon=units.years(args.years),
-            report_interval=units.days(args.report_days),
-        )
-    except ValueError as exc:
-        return _config_error(args, exc)
-    from .experiment import FiftyYearExperiment
-
-    experiment = FiftyYearExperiment(config)
-    controller = None
-    if plan is not None:
-        controller = experiment.sim.install_faults(plan)
-    auditor = None
-    if args.audit:
-        from .faults import InvariantAuditor
-
-        auditor = InvariantAuditor(experiment.sim, strict=False).install()
-    result = experiment.run()
+    request = _request(args, seed=args.seed)
+    experiment, result, controller, auditor = request.to_task().execute(
+        request.seed
+    )
     for line in result.summary_lines():
         print(line)
     if controller is not None:
         summary = controller.summary()
         print(
-            f"faults ({plan.name}): {summary['fired']} fired of "
+            f"faults ({request.faults.name}): {summary['fired']} fired of "
             f"{summary['injected']} injected, {summary['specs']} specs"
         )
     if auditor is not None:
-        auditor.check_now()
-        # Record the verdict in the snapshot exactly like ScenarioTask
-        # does, so an audited offline `run --metrics` file stays
-        # byte-identical to the served `/v1/run` response.
-        experiment.sim.metrics.gauge(
-            "run_invariant_violations", agg="sum"
-        ).set(len(auditor.violations))
         print(f"invariant violations: {len(auditor.violations)}")
         for violation in auditor.violations:
             print(f"  {violation}")
     if args.metrics:
-        meta = {"scenario": args.scenario, "seed": args.seed}
-        _write_metrics_file(
-            args, [(meta, experiment.sim.metrics.snapshot())]
+        snapshot = experiment.sim.metrics.snapshot()
+        _write_metrics(
+            args,
+            snapshot,
+            lambda: run_metrics_jsonl(request.scenario, request.seed, snapshot),
         )
     if args.diary:
         print()
@@ -135,16 +126,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_shard(spec: str):
-    """Parse ``--shard I/N``; returns (shard, nshards) or raises ValueError."""
-    parts = spec.split("/")
-    if len(parts) != 2:
-        raise ValueError(f"--shard must look like I/N, got {spec!r}")
+    """Parse ``--shard I/N`` into (shard, nshards)."""
     try:
-        shard, nshards = int(parts[0]), int(parts[1])
+        shard, nshards = (int(part) for part in spec.split("/"))
     except ValueError:
-        raise ValueError(f"--shard must look like I/N, got {spec!r}")
+        raise UsageError(f"--shard must look like I/N, got {spec!r}") from None
     if nshards < 1 or not 0 <= shard < nshards:
-        raise ValueError(
+        raise UsageError(
             f"--shard needs 0 <= I < N with N >= 1, got {spec!r}"
         )
     return shard, nshards
@@ -168,71 +156,35 @@ def _print_study(args: argparse.Namespace, study, with_faults: bool) -> None:
                 line += f" {run.faults_fired:>7} {run.invariant_violations:>6}"
             print(line)
     if args.metrics:
-        from .runtime import study_metrics_entries
+        from .runtime import study_metrics_jsonl
 
-        per_run, merged = study_metrics_entries(study)
-        _write_metrics_file(args, per_run, merged=merged)
+        _write_metrics(
+            args, study.merged_metrics(), lambda: study_metrics_jsonl(study)
+        )
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    from .experiment import SCENARIOS, scenario_config
-    from .runtime import MonteCarloRunner, ScenarioTask, resolve_workers, run_shard
+    from .runtime import MonteCarloRunner, resolve_workers, run_shard
 
-    if args.scenario not in SCENARIOS:
-        print(
-            f"unknown scenario {args.scenario!r}; options: {sorted(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.runs < 1:
-        print("--runs must be >= 1", file=sys.stderr)
-        return 2
+    request = _request(args, runs=args.runs, base_seed=args.base_seed)
     try:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    plan = _load_fault_plan(args.faults)
-    horizon = units.years(args.years)
-    report_interval = units.days(args.report_days)
-    try:
-        # Every run shares these fields, so one config checks them all
-        # before any worker starts.
-        scenario_config(
-            args.scenario,
-            args.base_seed,
-            horizon=horizon,
-            report_interval=report_interval,
-        )
-    except ValueError as exc:
-        return _config_error(args, exc)
-    task = ScenarioTask(
-        scenario=args.scenario,
-        horizon=horizon,
-        report_interval=report_interval,
-        faults=plan,
-        audit=args.audit,
-    )
+        raise UsageError(str(exc)) from exc
+    task = request.to_task()
     if args.shard is not None:
-        try:
-            shard, nshards = _parse_shard(args.shard)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        shard, nshards = _parse_shard(args.shard)
         if not args.out:
-            print("--shard requires --out SHARD.mcr", file=sys.stderr)
-            return 2
+            raise UsageError("--shard requires --out SHARD.mcr")
         if args.metrics:
-            print(
+            raise UsageError(
                 "--metrics is not available with --shard; merge the shards "
-                "with `mc-merge --metrics` instead",
-                file=sys.stderr,
+                "with `mc-merge --metrics` instead"
             )
-            return 2
         report = run_shard(
             task,
-            runs=args.runs,
-            base_seed=args.base_seed,
+            runs=request.runs,
+            base_seed=request.base_seed,
             shard=shard,
             nshards=nshards,
             out_path=args.out,
@@ -242,10 +194,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             print(line)
         return 0 if report.failed == 0 else 1
     study = MonteCarloRunner(
-        task, runs=args.runs, base_seed=args.base_seed, workers=workers
+        task, runs=request.runs, base_seed=request.base_seed, workers=workers
     ).run()
-    _print_study(args, study, with_faults=plan is not None or args.audit)
-    if args.audit and study.total_invariant_violations:
+    _print_study(
+        args, study, with_faults=request.faults is not None or request.audit
+    )
+    if request.audit and study.total_invariant_violations:
         return 1
     return 0 if not study.failures else 1
 
@@ -256,8 +210,7 @@ def _cmd_mc_merge(args: argparse.Namespace) -> int:
     try:
         study = merge_shards(args.shards)
     except (OSError, ShardError) as exc:
-        print(f"cannot merge shards: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot merge shards: {exc}") from exc
     _print_study(args, study, with_faults=study.total_faults_injected > 0)
     return 0 if not study.failures else 1
 
@@ -270,20 +223,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         workers = resolve_workers(args.workers)
+        cache = ResponseCache(
+            max_memory_bytes=int(args.cache_mem_mb * 1024 * 1024),
+            disk_dir=args.cache_dir,
+            max_disk_bytes=int(args.cache_disk_mb * 1024 * 1024),
+        )
+        service = ScenarioService(
+            workers=workers,
+            queue_limit=args.queue_limit,
+            timeout_s=args.timeout_s,
+            cache=cache,
+        )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    cache = ResponseCache(
-        max_memory_bytes=int(args.cache_mem_mb * 1024 * 1024),
-        disk_dir=args.cache_dir,
-        max_disk_bytes=int(args.cache_disk_mb * 1024 * 1024),
-    )
-    service = ScenarioService(
-        workers=workers,
-        queue_limit=args.queue_limit,
-        timeout_s=args.timeout_s,
-        cache=cache,
-    )
+        raise UsageError(str(exc)) from exc
     try:
         asyncio.run(serve_forever(service, args.host, args.port))
     except KeyboardInterrupt:
@@ -383,14 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="centurysim: Century-Scale Smart Infrastructure, simulated",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from .serve.request import MC_DEFAULTS, RUN_DEFAULTS
 
     sub.add_parser("scenarios", help="list canned 50-year scenarios")
 
     run = sub.add_parser("run", help="run a 50-year-experiment scenario")
     run.add_argument("scenario")
-    run.add_argument("--years", type=float, default=10.0)
-    run.add_argument("--seed", type=int, default=2021)
-    run.add_argument("--report-days", type=float, default=1.0,
+    run.add_argument("--years", type=float, default=RUN_DEFAULTS["years"])
+    run.add_argument("--seed", type=int, default=RUN_DEFAULTS["seed"])
+    run.add_argument("--report-days", type=float,
+                     default=RUN_DEFAULTS["report_days"],
                      help="device reporting cadence in days")
     run.add_argument("--diary", action="store_true", help="print the diary")
     run.add_argument("--faults", metavar="PLAN.json", default=None,
@@ -408,12 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         "mc", help="parallel Monte-Carlo uptime study over independent seeds"
     )
     mc.add_argument("scenario")
-    mc.add_argument("--runs", type=int, default=10)
-    mc.add_argument("--years", type=float, default=25.0)
-    mc.add_argument("--base-seed", type=int, default=100)
+    mc.add_argument("--runs", type=int, default=MC_DEFAULTS["runs"])
+    mc.add_argument("--years", type=float, default=MC_DEFAULTS["years"])
+    mc.add_argument("--base-seed", type=int, default=MC_DEFAULTS["base_seed"])
     mc.add_argument("--workers", type=int, default=0,
                     help="worker processes; 0 = one per CPU (default)")
-    mc.add_argument("--report-days", type=float, default=2.0,
+    mc.add_argument("--report-days", type=float,
+                    default=MC_DEFAULTS["report_days"],
                     help="device reporting cadence in days")
     mc.add_argument("--per-run", action="store_true",
                     help="print the per-run observability table")
@@ -525,7 +480,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    from .serve.request import RequestError
+
+    try:
+        return COMMANDS[args.command](args)
+    except (RequestError, UsageError) as exc:
+        # A bad input is one line and exit 2 on every subcommand; a
+        # scenario request's is worded as its ``/v1/*`` 400 words it.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,8 @@ dead heap weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 EventCallback = Callable[[], None]
 
@@ -256,12 +255,3 @@ class EventQueue:
         heapify(self._heap)
         self._dead = 0
         self.compactions += 1
-
-
-@dataclass
-class TraceRecord:
-    """One executed event, as recorded by an engine trace."""
-
-    time: float
-    label: str
-    detail: Any = None

@@ -21,15 +21,7 @@ it) and imports only the standard library; nothing here reads a clock,
 draws randomness, or schedules events.
 """
 
-from .export import (
-    SnapshotStreamWriter,
-    load_snapshot_line,
-    read_jsonl,
-    snapshot_json,
-    to_prometheus,
-    write_jsonl,
-    write_metrics,
-)
+from .export import load_snapshot_line, snapshot_json, to_prometheus
 from .metrics import (
     GAUGE_AGGS,
     Counter,
@@ -54,14 +46,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "SnapshotStreamWriter",
     "Span",
     "canonical_labels",
     "load_snapshot_line",
-    "read_jsonl",
     "merge_all",
     "snapshot_json",
     "to_prometheus",
-    "write_jsonl",
-    "write_metrics",
 ]

@@ -1,11 +1,11 @@
 """Snapshot exporters: canonical JSONL and Prometheus text format.
 
-The JSONL writer is byte-deterministic: ``json.dumps`` with sorted keys
+A JSONL line is byte-deterministic: ``json.dumps`` with sorted keys
 and compact separators, no timestamps, no host information.  A
 Monte-Carlo study exports one line per run (in run-index order) followed
-by one merged line, so the file produced at ``--workers 4`` is
-byte-identical to the ``--workers 1`` file — the acceptance check of the
-whole observability layer.
+by one merged line (:func:`repro.runtime.study_metrics_jsonl`), so the
+file produced at ``--workers 4`` is byte-identical to the ``--workers
+1`` file — the acceptance check of the whole observability layer.
 
 The Prometheus exporter emits the familiar text exposition format
 (``# TYPE`` headers, ``name{label="v"} value``) for humans and scrape
@@ -15,7 +15,7 @@ tooling; it shares the same canonical ordering.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 from .snapshot import LabelPairs, MetricsSnapshot
 
@@ -36,64 +36,6 @@ def load_snapshot_line(line: str) -> Tuple[dict, MetricsSnapshot]:
     payload = json.loads(line)
     snapshot = MetricsSnapshot.from_dict(payload.pop("metrics"))
     return payload, snapshot
-
-
-class SnapshotStreamWriter:
-    """Incremental canonical-JSONL snapshot writer.
-
-    Streams one line per ``(meta, snapshot)`` entry the moment it is
-    written — O(1) memory regardless of study size, which is what lets
-    a 10k-run shard export its per-run snapshots without holding them.
-    Bytes are identical to a batch :func:`write_jsonl` of the same
-    entries in the same order.  Usable as a context manager.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle = open(self.path, "w", encoding="utf-8")
-        self.lines = 0
-        self._closed = False
-
-    def write(self, meta: dict, snapshot: MetricsSnapshot) -> None:
-        """Append one canonical snapshot line."""
-        self._handle.write(snapshot_json(snapshot, **meta))
-        self._handle.write("\n")
-        self.lines += 1
-
-    def close(self) -> None:
-        if not self._closed:
-            self._handle.close()
-            self._closed = True
-
-    def __enter__(self) -> "SnapshotStreamWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def write_jsonl(
-    path: str, entries: Iterable[Tuple[dict, MetricsSnapshot]]
-) -> int:
-    """Write ``(meta, snapshot)`` entries as canonical JSONL; returns
-    the number of lines written."""
-    with SnapshotStreamWriter(path) as writer:
-        for meta, snapshot in entries:
-            writer.write(meta, snapshot)
-        return writer.lines
-
-
-def read_jsonl(path: str) -> Iterator[Tuple[dict, MetricsSnapshot]]:
-    """Lazily yield ``(meta, snapshot)`` entries back from a JSONL file.
-
-    The streaming counterpart of :class:`SnapshotStreamWriter`: one
-    line is parsed at a time, so merging arbitrarily large metric files
-    holds a single snapshot resident.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                yield load_snapshot_line(line)
 
 
 # ----------------------------------------------------------------------
@@ -158,35 +100,3 @@ def to_prometheus(snapshot: MetricsSnapshot, prefix: str = "") -> str:
         lines.append(f"{prefix}{name}_bucket{_format_labels(inf_labels)} {cumulative}")
         lines.append(f"{prefix}{name}_count{_format_labels(labels)} {count}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_metrics(
-    path: str,
-    per_run: Iterable[Tuple[dict, MetricsSnapshot]],
-    merged: Optional[Tuple[dict, MetricsSnapshot]] = None,
-    fmt: str = "jsonl",
-) -> int:
-    """Write a study's metrics in the chosen format.
-
-    ``jsonl``: one line per run plus (when given) a final merged line.
-    ``prom``: the merged snapshot only (or the sole run), since the
-    exposition format has no per-run framing.
-    """
-    if fmt == "jsonl":
-        entries = list(per_run)
-        if merged is not None:
-            entries.append(merged)
-        return write_jsonl(path, entries)
-    if fmt == "prom":
-        if merged is not None:
-            snapshot = merged[1]
-        else:
-            runs = list(per_run)
-            if not runs:
-                snapshot = MetricsSnapshot()
-            else:
-                snapshot = runs[-1][1]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus(snapshot))
-        return 1
-    raise ValueError(f"unknown metrics format {fmt!r} (choose jsonl or prom)")

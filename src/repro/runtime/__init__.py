@@ -33,7 +33,9 @@ from .runner import (
     RunResult,
     ScenarioTask,
     derive_seeds,
+    run_metrics_jsonl,
     study_metrics_entries,
+    study_metrics_jsonl,
 )
 from .shard import (
     SHARD_FORMAT_VERSION,
@@ -72,8 +74,10 @@ __all__ = [
     "merge_shards",
     "read_manifest",
     "resolve_workers",
+    "run_metrics_jsonl",
     "run_shard",
     "shard_indices",
     "study_metrics_entries",
+    "study_metrics_jsonl",
     "task_fingerprint",
 ]

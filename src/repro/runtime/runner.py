@@ -35,7 +35,7 @@ from ..analysis.uptime import MonteCarloUptime
 from ..core import units
 from ..core.rng import RandomStreams
 from ..faults import FaultPlan, InvariantAuditor
-from ..obs import EMPTY_SNAPSHOT, MetricsSnapshot, merge_all
+from ..obs import EMPTY_SNAPSHOT, MetricsSnapshot, merge_all, snapshot_json
 from .queue import (
     FailedRun,
     MonteCarloExecutionError,
@@ -203,9 +203,8 @@ def study_metrics_entries(study: MonteCarloStudy):
     study is self-describing even when seeds were poisoned — the
     **failure count** (:attr:`MonteCarloStudy.failures` used to be
     invisible in ``--metrics`` output; a served MC response must say
-    "8 of 10 runs" on its face).  The CLI ``mc``/``mc-merge`` writers
-    and the ``/v1/mc`` service endpoint all serialize through here,
-    which is what makes a cache hit byte-comparable to an offline file.
+    "8 of 10 runs" on its face).  :func:`study_metrics_jsonl`, the one
+    study serializer, writes exactly these entries.
     """
     per_run = [
         ({"run": run.index, "seed": run.seed}, run.metrics)
@@ -221,6 +220,25 @@ def study_metrics_entries(study: MonteCarloStudy):
         study.merged_metrics(),
     )
     return per_run, merged
+
+
+def study_metrics_jsonl(study: MonteCarloStudy) -> bytes:
+    """A study's canonical metrics JSONL: the bytes ``mc --metrics``,
+    ``mc-merge --metrics`` and ``/v1/mc`` all write."""
+    per_run, merged = study_metrics_entries(study)
+    return "".join(
+        snapshot_json(snapshot, **meta) + "\n"
+        for meta, snapshot in (*per_run, merged)
+    ).encode("utf-8")
+
+
+def run_metrics_jsonl(
+    scenario: str, seed: int, snapshot: MetricsSnapshot
+) -> bytes:
+    """One run's canonical metrics JSONL line: the bytes ``run --metrics``
+    and ``/v1/run`` both write."""
+    line = snapshot_json(snapshot, scenario=scenario, seed=seed)
+    return (line + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -251,7 +269,14 @@ class ScenarioTask:
     audit: bool = False
     audit_every: int = 2500
 
-    def __call__(self, index: int, seed: int) -> RunResult:
+    def execute(self, seed: int):
+        """Build, fault, audit and run one experiment.
+
+        The one code path every surface runs a scenario through (``run``,
+        ``mc``, shards and ``serve``).  Returns ``(experiment, result,
+        controller, auditor)``; the controller is ``None`` without a plan
+        and the auditor ``None`` without ``audit``.
+        """
         # Imported lazily: repro.experiment itself builds on repro.runtime.
         from ..experiment.fifty_year import FiftyYearExperiment
         from ..experiment.scenarios import scenario_config
@@ -278,6 +303,10 @@ class ScenarioTask:
             experiment.sim.metrics.gauge(
                 "run_invariant_violations", agg="sum"
             ).set(len(auditor.violations))
+        return experiment, result, controller, auditor
+
+    def __call__(self, index: int, seed: int) -> RunResult:
+        experiment, result, controller, _auditor = self.execute(seed)
         # No self-timing here: ``_execute`` stamps wall_clock_s, so the
         # snapshot stays free of nondeterministic observations.
         return RunResult(

@@ -42,8 +42,6 @@ from .service import (
     ScenarioService,
     ServeResponse,
     compute_response,
-    mc_response_body,
-    run_response_body,
 )
 
 __all__ = [
@@ -56,9 +54,7 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "compute_response",
-    "mc_response_body",
     "parse_request",
     "parse_request_json",
-    "run_response_body",
     "serve_forever",
 ]

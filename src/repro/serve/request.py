@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -37,8 +38,8 @@ from ..runtime.shard import task_fingerprint
 #: The request format version; bumped with any canonical-form change.
 REQUEST_FORMAT_VERSION = 1
 
-#: Per-endpoint defaults, mirroring the ``run`` / ``mc`` CLI defaults so
-#: a served response stays byte-comparable to its offline counterpart.
+#: Per-endpoint defaults: the one table, which the ``run`` / ``mc`` CLI
+#: also reads its argparse defaults from.
 RUN_DEFAULTS = {"seed": 2021, "years": 10.0, "report_days": 1.0}
 MC_DEFAULTS = {
     "runs": 10,
@@ -47,9 +48,9 @@ MC_DEFAULTS = {
     "report_days": 2.0,
 }
 
-#: Hard ceilings: a public endpoint must bound the work one request can
-#: demand.  Both are generous for the paper's studies and adjustable at
-#: service construction.
+#: Work ceilings: a public endpoint must bound the work one request can
+#: demand.  They are serving policy only; the CLI parses with
+#: ``max_years``/``max_runs`` of ``math.inf``.
 MAX_YEARS = 100.0
 MAX_RUNS = 10_000
 
@@ -207,10 +208,12 @@ def parse_request(
 ) -> ServeRequest:
     """Validate a decoded JSON body into a :class:`ServeRequest`.
 
-    Raises :class:`RequestError` (→ HTTP 400) with a field-level message
-    on anything malformed: unknown fields, wrong types, out-of-range
-    values, unknown scenarios, bad fault plans, reserved overrides, and
-    overrides the scenario's config rejects.
+    Raises :class:`RequestError` (→ HTTP 400, CLI exit 2) with a
+    field-level message on anything malformed: unknown fields, wrong
+    types, out-of-range values, unknown scenarios, bad fault plans,
+    reserved overrides, and overrides the scenario's config rejects.
+    This is the one validator of a scenario request: ``repro run``/``mc``
+    build a payload from their flags and parse it here too.
     """
     if endpoint not in ("run", "mc"):
         raise RequestError(f"unknown endpoint {endpoint!r}")
@@ -244,15 +247,20 @@ def parse_request(
             f"unknown scenario {scenario!r}; options: {sorted(SCENARIOS)}"
         )
 
+    # Validity first, then the ceiling: an input invalid everywhere gets
+    # one message on every surface, and only the ceiling (a serving
+    # policy the CLI lifts) names the limit.
     years = _as_float("years", payload.get("years", defaults["years"]))
-    if not 0.0 < years <= max_years:
+    if not 0.0 < years < math.inf:
+        raise RequestError(f"years must be in (0, inf), got {years!r}")
+    if years > max_years:
         raise RequestError(
             f"years must be in (0, {max_years:g}], got {years!r}"
         )
     report_days = _as_float(
         "report_days", payload.get("report_days", defaults["report_days"])
     )
-    if not 0.0 < report_days <= years * 366.0:
+    if not 0.0 < units.days(report_days) <= units.years(years):
         raise RequestError(
             f"report_days must be in (0, horizon], got {report_days!r}"
         )
@@ -314,7 +322,9 @@ def parse_request(
             audit=audit,
         )
     runs = _as_int("runs", payload.get("runs", defaults["runs"]))
-    if not 1 <= runs <= max_runs:
+    if runs < 1:
+        raise RequestError(f"runs must be in [1, inf), got {runs}")
+    if runs > max_runs:
         raise RequestError(f"runs must be in [1, {max_runs}], got {runs}")
     base_seed = _as_int(
         "base_seed", payload.get("base_seed", defaults["base_seed"])

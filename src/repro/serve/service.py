@@ -29,8 +29,8 @@ codec around :meth:`ScenarioService.handle`.  Responsibilities:
 Response bodies are computed by :func:`compute_response`, a picklable
 module-level function: ``/v1/run`` bodies are exactly the canonical
 metrics JSONL that ``python -m repro run --metrics`` writes offline,
-and ``/v1/mc`` bodies are exactly the ``mc --metrics`` file — the
-byte-identity the acceptance tests assert.
+and ``/v1/mc`` bodies are exactly the ``mc --metrics`` file, because
+both surfaces write through the same runtime serializers.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..obs import MetricsRegistry, snapshot_json, to_prometheus
+from ..obs import MetricsRegistry, to_prometheus
 from ..runtime.queue import WorkerPool, resolve_workers
 from ..runtime.runner import (
     MonteCarloRunner,
-    _execute,
-    study_metrics_entries,
+    run_metrics_jsonl,
+    study_metrics_jsonl,
 )
 from .cache import ResponseCache
 from .request import ServeRequest
@@ -61,46 +61,24 @@ LATENCY_EDGES = (
 )
 
 
-def run_response_body(request: ServeRequest) -> bytes:
-    """The ``/v1/run`` response: one canonical metrics JSONL line.
-
-    Byte-identical to the file ``python -m repro run <scenario> --seed S
-    --metrics PATH`` writes for the same parameters — same meta keys,
-    same canonical serialization, same trailing newline.
-    """
-    result = _execute(request.to_task(), 0, request.seed)
-    line = snapshot_json(
-        result.metrics, scenario=request.scenario, seed=request.seed
-    )
-    return (line + "\n").encode("utf-8")
-
-
-def mc_response_body(request: ServeRequest) -> bytes:
-    """The ``/v1/mc`` response: the study's canonical metrics JSONL.
-
-    One line per run plus the merged line (failure count included) —
-    byte-identical to ``python -m repro mc … --metrics PATH`` at any
-    worker count, because snapshots merge order-independently.
-    """
-    study = MonteCarloRunner(
-        request.to_task(), runs=request.runs, base_seed=request.base_seed
-    ).run()
-    per_run, merged = study_metrics_entries(study)
-    pieces = [
-        snapshot_json(snapshot, **meta) + "\n"
-        for meta, snapshot in (*per_run, merged)
-    ]
-    return "".join(pieces).encode("utf-8")
-
-
 def compute_response(request: ServeRequest) -> bytes:
     """Compute one request's full response body (picklable; runs in a
-    pool worker).  MC studies execute serially *inside* their worker —
-    the service's pool is the only fan-out, so concurrency stays
-    bounded by ``workers`` no matter the request mix."""
+    pool worker).
+
+    ``/v1/run`` answers :func:`run_metrics_jsonl` and ``/v1/mc``
+    :func:`study_metrics_jsonl`: the very functions ``run --metrics``
+    and ``mc --metrics`` write with, so a served body is the offline
+    file by construction.  MC studies execute serially *inside* their
+    worker — the service's pool is the only fan-out, so concurrency
+    stays bounded by ``workers`` no matter the request mix."""
+    task = request.to_task()
     if request.endpoint == "run":
-        return run_response_body(request)
-    return mc_response_body(request)
+        result = task(0, request.seed)
+        return run_metrics_jsonl(request.scenario, request.seed, result.metrics)
+    study = MonteCarloRunner(
+        task, runs=request.runs, base_seed=request.base_seed
+    ).run()
+    return study_metrics_jsonl(study)
 
 
 @dataclass(frozen=True)
@@ -354,6 +332,4 @@ __all__ = [
     "ScenarioService",
     "ServeResponse",
     "compute_response",
-    "mc_response_body",
-    "run_response_body",
 ]

@@ -8,13 +8,9 @@ from repro.core.engine import Simulation
 from repro.obs import (
     EventTracer,
     MetricsRegistry,
-    SnapshotStreamWriter,
     load_snapshot_line,
-    read_jsonl,
     snapshot_json,
     to_prometheus,
-    write_jsonl,
-    write_metrics,
 )
 
 
@@ -42,55 +38,6 @@ class TestJsonl:
         assert meta == {"run": 2, "seed": 17}
         assert clone == snap
 
-    def test_write_jsonl_round_trips(self, tmp_path):
-        snap = sample_snapshot()
-        path = tmp_path / "m.jsonl"
-        n = write_jsonl(str(path), [({"run": 0}, snap), ({"run": 1}, snap)])
-        assert n == 2
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert load_snapshot_line(lines[1])[0] == {"run": 1}
-
-    def test_write_metrics_appends_merged_line(self, tmp_path):
-        snap = sample_snapshot()
-        path = tmp_path / "m.jsonl"
-        n = write_metrics(
-            str(path),
-            [({"run": 0}, snap)],
-            merged=({"merged": True}, snap.merge(snap)),
-        )
-        assert n == 2
-        meta, merged = load_snapshot_line(path.read_text().splitlines()[-1])
-        assert meta == {"merged": True}
-        assert merged.counter_value("c_total") == 6
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown metrics format"):
-            write_metrics(str(tmp_path / "x"), [], fmt="csv")
-
-    def test_stream_writer_bytes_match_batch(self, tmp_path):
-        """Incremental writes produce the exact bytes of write_jsonl."""
-        snap = sample_snapshot()
-        entries = [({"run": 0}, snap), ({"run": 1}, snap.merge(snap))]
-        batch = tmp_path / "batch.jsonl"
-        streamed = tmp_path / "streamed.jsonl"
-        write_jsonl(str(batch), entries)
-        with SnapshotStreamWriter(str(streamed)) as writer:
-            for meta, entry in entries:
-                writer.write(meta, entry)
-        assert writer.lines == 2
-        assert streamed.read_bytes() == batch.read_bytes()
-
-    def test_read_jsonl_is_lazy_and_round_trips(self, tmp_path):
-        snap = sample_snapshot()
-        path = tmp_path / "m.jsonl"
-        write_jsonl(str(path), [({"run": i}, snap) for i in range(3)])
-        stream = read_jsonl(str(path))
-        first_meta, first_snap = next(stream)
-        assert first_meta == {"run": 0}
-        assert first_snap == snap
-        assert [meta["run"] for meta, _ in stream] == [1, 2]
-
 
 class TestPrometheus:
     def test_exposition_shape(self):
@@ -107,11 +54,6 @@ class TestPrometheus:
         assert "h_seconds_count 3" in lines
         # No _sum series: the layer keeps no float sum by design.
         assert not any("h_seconds_sum" in line for line in lines)
-
-    def test_prom_file_via_write_metrics(self, tmp_path):
-        path = tmp_path / "m.prom"
-        write_metrics(str(path), [({}, sample_snapshot())], fmt="prom")
-        assert path.read_text().startswith("# TYPE")
 
 
 class TestEventTracer:

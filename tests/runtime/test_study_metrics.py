@@ -3,15 +3,19 @@
 ``MonteCarloStudy.failures`` used to be invisible in the metrics JSONL —
 a study with poisoned seeds serialized identically to a clean one.  The
 merged line's meta now carries the failure count, through the one
-serializer (`study_metrics_entries`) the CLI and the service share.
+serializer (`study_metrics_jsonl`) the CLI and the service share.
 """
 
 import json
 from dataclasses import dataclass
 
 from repro.core import units
-from repro.obs import write_metrics
-from repro.runtime import MonteCarloRunner, ScenarioTask, study_metrics_entries
+from repro.runtime import (
+    MonteCarloRunner,
+    ScenarioTask,
+    study_metrics_entries,
+    study_metrics_jsonl,
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ def test_merged_meta_reports_zero_failures():
     }
 
 
-def test_failed_runs_counted_in_metrics_jsonl(tmp_path):
+def test_failed_runs_counted_in_metrics_jsonl():
     flaky = _FlakyScenario(task=_tiny_task(), poisoned_index=1)
     study = MonteCarloRunner(flaky, runs=3, workers=1).run()
     assert len(study.failures) == 1
@@ -60,9 +64,7 @@ def test_failed_runs_counted_in_metrics_jsonl(tmp_path):
     assert meta["runs"] == 2
     assert meta["failures"] == 1
 
-    path = tmp_path / "mc.jsonl"
-    write_metrics(str(path), per_run, merged=(meta, study.merged_metrics()))
-    lines = path.read_text().splitlines()
+    lines = study_metrics_jsonl(study).decode("utf-8").splitlines()
     assert len(lines) == 3
     merged_line = json.loads(lines[-1])
     assert merged_line["failures"] == 1
