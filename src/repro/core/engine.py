@@ -207,8 +207,10 @@ class Simulation:
         ``now + interval``); ``until`` bounds the last call time.
         Returns a handle whose :meth:`PeriodicTask.stop` halts the cycle.
         """
-        if interval <= 0.0:
+        if not interval > 0.0:  # also rejects NaN
             raise SimulationError(f"interval must be positive, got {interval}")
+        if until is not None and until != until:
+            raise SimulationError("until must not be NaN")
         first = self.now + interval if start is None else start
         if first < self.now and (until is None or first <= until):
             raise SimulationError(
@@ -251,6 +253,8 @@ class Simulation:
         :meth:`stop` was called).  ``max_events`` is a safety valve for
         runaway self-scheduling loops.
         """
+        if end_time != end_time:
+            raise SimulationError("end_time must not be NaN")
         if end_time < self.now:
             raise SimulationError(
                 f"end_time {end_time} is before current time {self.now}"
@@ -340,6 +344,11 @@ class PeriodicTask:
         self._event: Optional[Event] = None
         self._stopped = False
         self.fired = 0
+        # The queue's ``push``, fetched once here: a device's report
+        # cycle re-arms through it every report.  A wrapper installed on
+        # ``EventQueue.push`` sees these calls only if it is in place
+        # before the task is built.
+        self._push = sim.events.push
 
     def schedule(self, time: float) -> None:
         """Arm the next firing at absolute ``time`` (internal).
@@ -352,7 +361,7 @@ class PeriodicTask:
             return
         if self._until is not None and time > self._until:
             return
-        self._event = self._sim.events.push(time, self._fire, label=self._label)
+        self._event = self._push(time, self._fire, 0, self._label)
 
     def _fire(self) -> None:
         self._event = None

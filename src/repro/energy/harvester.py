@@ -70,18 +70,19 @@ class HarvestingSystem:
         # net them before touching storage, so a coarse step never
         # browns out a node whose instantaneous harvest covers sleep.
         net = harvested * self.conversion_efficiency - self.profile.sleep_power_w * dt
+        storage = self.storage
         if net >= 0.0:
-            self.storage.charge(net)
-            self.storage.leak(dt)
-            self._maybe_recover()
+            storage.charge(net)
+            storage.leak(dt)
         else:
-            self.storage.leak(dt)
-            if not self.storage.discharge(-net):
+            storage.leak(dt)
+            if not storage.discharge(-net):
                 # Deficit unaffordable: drain what's there, mark brownout.
-                self.storage.discharge(self.storage.stored_j)
+                storage.discharge(storage.stored_j)
                 self._enter_brownout()
-            else:
-                self._maybe_recover()
+                return
+        if self._in_brownout:
+            self._maybe_recover()
 
     def try_transmit(self, airtime_s: float) -> bool:
         """Attempt to pay for one sense-and-transmit cycle.
@@ -89,15 +90,17 @@ class HarvestingSystem:
         Returns True and debits storage on success.  A node recovering
         from brownout additionally pays the startup energy.
         """
-        cost = self.profile.cycle_energy(airtime_s)
+        profile = self.profile
+        cost = profile.cycle_energy(airtime_s)
         if self._in_brownout:
-            cost += self.profile.startup_energy_j
-        floor = self.brownout_threshold * self.storage.usable_capacity_j
-        if self.storage.stored_j - cost < floor:
+            cost += profile.startup_energy_j
+        storage = self.storage
+        floor = self.brownout_threshold * storage.usable_capacity_j
+        if storage.stored_j - cost < floor:
             self._enter_brownout()
             return False
-        paid = self.storage.discharge(cost)
-        if paid:
+        paid = storage.discharge(cost)
+        if paid and self._in_brownout:
             self._maybe_recover()
         return paid
 
@@ -108,8 +111,7 @@ class HarvestingSystem:
             self.last_brownout_at = self._clock
 
     def _maybe_recover(self) -> None:
-        if not self._in_brownout:
-            return
+        # Called only while browned out.
         refill = 2.0 * self.brownout_threshold * self.storage.usable_capacity_j
         if self.storage.stored_j >= refill:
             self._in_brownout = False

@@ -66,17 +66,18 @@ class CathodicProtectionSource:
     def power_at(self, t: float, rng: np.random.Generator) -> float:
         if t < 0.0:
             raise ValueError(f"t must be non-negative, got {t}")
-        age_years = units.as_years(t)
+        age_years = t / units.YEAR  # units.as_years, without the call
         level = self.nominal_power_w * (1.0 - self.degradation_per_year) ** age_years
         noise = 1.0 + self.noise_fraction * rng.standard_normal()
-        return max(0.0, level * noise)
+        power = level * noise
+        return power if power > 0.0 else 0.0  # max(0.0, power), without the call
 
     def power_at_many(
         self, t: float, rng: np.random.Generator, n: int
     ) -> np.ndarray:
         if t < 0.0:
             raise ValueError(f"t must be non-negative, got {t}")
-        age_years = units.as_years(t)
+        age_years = t / units.YEAR
         # The aging power stays a Python-scalar ``**`` so it rounds
         # identically to the scalar path; only the noise is an array.
         level = self.nominal_power_w * (1.0 - self.degradation_per_year) ** age_years

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..core import units
 from ..core.engine import Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,14 @@ class Backhaul(Entity):
         Injected degrade windows (:meth:`Entity.force_degrade`) overlay
         the natural outage process rather than toggling ``up``, so they
         compose with — and never corrupt — the renewal bookkeeping.
+        Asked once per forwarded packet, so ``alive`` is spelled out as
+        the state test.
         """
-        return self.alive and self.up and self.forced_degradations == 0
+        return (
+            self.state is EntityState.ACTIVE
+            and self.up
+            and self.forced_degradations == 0
+        )
 
     def annual_cost_usd(self) -> float:
         """Recurring cost per year; subclasses override."""

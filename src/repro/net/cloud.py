@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core import units
 from ..core.engine import Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 
 #: ICANN's maximum registration period (§4.5, ref [18]).
 MAX_DOMAIN_LEASE: float = units.years(10.0)
@@ -139,19 +139,40 @@ class CloudEndpoint(Entity):
         self.sim.record("domain-recover", self.name)
 
     def accepting(self) -> bool:
-        """True if a delivery offered right now would be recorded publicly."""
-        return self.alive and self.domain_up and self.forced_degradations == 0
+        """True if a delivery offered right now would be recorded publicly.
+
+        Asked once per forwarded report, so ``alive`` is spelled out as
+        the state test.
+        """
+        return (
+            self.state is EntityState.ACTIVE
+            and self.domain_up
+            and self.forced_degradations == 0
+        )
 
     def register(self, source: str, group: str) -> None:
         """Also keep ``source``'s arrivals in ``group``'s own record.
 
-        Register a source before its first arrival; a source belongs to
-        at most one group.  :meth:`weekly_uptime` and
-        :meth:`longest_silence_weeks` then answer for the group alone.
+        Register a source before its first arrival (the group's record
+        would miss the earlier ones); a source belongs to at most one
+        group.  :meth:`weekly_uptime` and :meth:`longest_silence_weeks`
+        then answer for the group alone.  Registering a source again to
+        its own group is a no-op.
         """
-        weeks = self._groups.setdefault(group, {})
-        if self._group_of.setdefault(source, weeks) is not weeks:
-            raise ValueError(f"{source} is already registered to another group")
+        weeks = self._groups.get(group)
+        current = self._group_of.get(source)
+        if current is not None:
+            if current is not weeks:
+                raise ValueError(f"{source} is already registered to another group")
+            return
+        if source in self.per_device_last:
+            raise ValueError(
+                f"{source} has already arrived; register it to {group!r} "
+                "before its first arrival"
+            )
+        if weeks is None:
+            weeks = self._groups[group] = {}
+        self._group_of[source] = weeks
 
     def deliver(self, source: str, via_gateway: str, via_backhaul: str) -> bool:
         """Record an arrival from ``source`` now.  False if the endpoint is dark."""

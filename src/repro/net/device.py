@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.engine import PeriodicTask, Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 from ..core.policy import AttachmentPolicy
 from ..energy.harvester import HarvestingSystem
 from ..radio.link import RadioSpec, attempt_delivery
@@ -372,12 +372,18 @@ class EdgeDevice(Entity):
         ``hears()`` check at report time would try.  The trials run in
         :func:`first_decoder`, on the cached mean loss.
         """
-        if not self.alive or self.forced_degradations:
+        if self.state is not EntityState.ACTIVE or self.forced_degradations:
             return  # dead, or muted by an injected degrade window
         self._c_attempts.value += 1
-        if self.power is not None and not self._pay_energy():
-            self._c_energy_denied.value += 1
-            return
+        power = self.power
+        if power is not None:
+            now = self.sim.now
+            dt = now - self._last_energy_step
+            self._last_energy_step = now
+            power.step(dt, self._energy_rng)
+            if not power.try_transmit(self.airtime_s):
+                self._c_energy_denied.value += 1
+                return
         version = self.sim.topology_version
         if self._links_version != version:
             self._revalidate_links()
@@ -392,13 +398,6 @@ class EdgeDevice(Entity):
             return
         if gateway.receive(self.name, self._credits):
             self._c_delivered.value += 1
-
-    def _pay_energy(self) -> bool:
-        now = self.sim.now
-        dt = now - self._last_energy_step
-        self._last_energy_step = now
-        self.power.step(dt, self._energy_rng)
-        return self.power.try_transmit(self.airtime_s)
 
     def make_packet(self) -> Packet:
         """Build an uplink frame with a fresh reading.

@@ -15,13 +15,17 @@ case) — it *churns*: its owner may unplug it at any time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..core.engine import Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 from ..core.policy import GatewayRole
 from ..radio.link import PathLossModel, RadioSpec
 from .geometry import ORIGIN, Position
+
+#: One hop of a gateway's forwarding route: the backhaul's
+#: ``carries_traffic``, its name, and its endpoint's ``deliver_many``.
+Route = Tuple[Callable[[], bool], str, Callable[..., bool]]
 
 
 class Gateway(Entity):
@@ -51,6 +55,10 @@ class Gateway(Entity):
         self.position = position
         self.role = role
         self.blocklist: Set[str] = set()
+        #: The forwarding route, resolved once per ``topology_version``
+        #: (see :meth:`_forward`).
+        self._route: Tuple[Route, ...] = ()
+        self._route_version: int = -1
         # Per-hop packet accounting in the run's metrics registry; the
         # attribute names below are read-only views of these
         # instruments, and the invariant auditor's link-conservation
@@ -98,9 +106,10 @@ class Gateway(Entity):
         :class:`~repro.net.cohort.DeviceCohort` call it when they
         rebuild a link table, once per version, and never per report;
         :meth:`receive` checks it per packet.  Keep it O(1) and
-        side-effect free.
+        side-effect free: ``alive`` is spelled out as the state test,
+        since the property costs a call per packet.
         """
-        return self.alive and self.forced_degradations == 0
+        return self.state is EntityState.ACTIVE and self.forced_degradations == 0
 
     def receive(self, source: str, credits: int) -> bool:
         """Accept a radio-decoded packet from ``source`` and forward it.
@@ -130,7 +139,16 @@ class Gateway(Entity):
         return self._forward(sources, now)
 
     def _forward(self, sources: Sequence[str], now: float) -> int:
-        """Blocklist, route walk and drop accounting for heard packets."""
+        """Blocklist, route walk and drop accounting for heard packets.
+
+        The route is resolved once per ``topology_version``: every
+        ``depends_on`` edit goes through ``add_dependency`` or
+        ``remove_dependency``, which bump it, so between bumps the
+        backhauls and their first endpoints are the ones a walk of the
+        dependency graph would find.  Only each backhaul's
+        ``carries_traffic()`` is asked per packet (an outage does not
+        bump the version).
+        """
         count = len(sources)
         self._c_received.value += count
         blocklist = self.blocklist
@@ -141,21 +159,36 @@ class Gateway(Entity):
                 count = len(sources)
         if not count:
             return 0
+        version = self.sim.topology_version
+        if self._route_version != version:
+            self._route = self._resolve_route()
+            self._route_version = version
+        for carries_traffic, backhaul_name, deliver_many in self._route:
+            if not carries_traffic():
+                continue
+            if deliver_many(sources, now, self.name, backhaul_name):
+                self._c_forwarded.value += count
+                return count
+            self._c_drop_endpoint.value += count
+            return 0
+        self._c_drop_backhaul.value += count
+        return 0
+
+    def _resolve_route(self) -> Tuple[Route, ...]:
+        """Each backhaul's ``carries_traffic`` and name, with the
+        ``deliver_many`` of its first endpoint that has one, in
+        dependency order.  A backhaul without both is skipped."""
+        route = []
         for backhaul in self.depends_on:
-            carries = getattr(backhaul, "carries_traffic", None)
-            if carries is None or not carries():
+            carries_traffic = getattr(backhaul, "carries_traffic", None)
+            if carries_traffic is None:
                 continue
             for endpoint in backhaul.depends_on:
                 deliver_many = getattr(endpoint, "deliver_many", None)
-                if deliver_many is None:
-                    continue
-                if deliver_many(sources, now, self.name, backhaul.name):
-                    self._c_forwarded.value += count
-                    return count
-                self._c_drop_endpoint.value += count
-                return 0
-        self._c_drop_backhaul.value += count
-        return 0
+                if deliver_many is not None:
+                    route.append((carries_traffic, backhaul.name, deliver_many))
+                    break
+        return tuple(route)
 
     @property
     def packets_received(self) -> int:
@@ -273,9 +306,11 @@ class ThirdPartyGateway(Gateway):
     def receive(self, source: str, credits: int) -> bool:
         if not self.hears():
             return False
-        if not self._pay(credits):
+        wallet = self.wallet
+        if wallet is not None and not wallet.debit(credits):
+            self._c_drop_unpaid.value += 1
             return False
-        return super().receive(source, credits)
+        return self._forward((source,), self.sim.now) == 1
 
     def receive_many(self, sources: Sequence[str], now: float, credits: int) -> int:
         """Bulk :meth:`receive`: each source pays, in order, before routing.
@@ -286,16 +321,12 @@ class ThirdPartyGateway(Gateway):
         """
         if not self.hears():
             return 0
-        if self.wallet is not None:
-            sources = [s for s in sources if self._pay(credits)]
-        return super().receive_many(sources, now, credits)
-
-    def _pay(self, credits: int) -> bool:
-        """Debit the wallet ``credits``; count an unpaid drop if broke."""
-        if self.wallet is None or self.wallet.debit(credits):
-            return True
-        self._c_drop_unpaid.value += 1
-        return False
+        wallet = self.wallet
+        if wallet is not None:
+            paid = [s for s in sources if wallet.debit(credits)]
+            self._c_drop_unpaid.value += len(sources) - len(paid)
+            sources = paid
+        return self._forward(sources, now)
 
     def on_deploy(self) -> None:
         if self.departs_at is not None:

@@ -7,8 +7,10 @@ too-slow health check.  Each property keeps its own explicit
 ``@settings`` for its example budget.
 
 The ``chaos`` profile is what CI's dedicated chaos job runs under
-(``HYPOTHESIS_PROFILE=chaos``): derandomized so failures reproduce from
-the log alone, no deadline (simulation examples are tens of
+(``HYPOTHESIS_PROFILE=chaos``): random exploration, so each run tries
+examples tier-1 never draws, with ``print_blob`` on, so a failure
+prints a ``@reproduce_failure`` blob that reproduces it and can be
+pinned as an ``@example``; no deadline (simulation examples are tens of
 milliseconds, but pool startup in the worker-count property is not),
 and a modest example budget.
 """
@@ -32,7 +34,8 @@ settings.register_profile(
 )
 settings.register_profile(
     "chaos",
-    derandomize=True,
+    derandomize=False,
+    print_blob=True,
     deadline=None,
     max_examples=6,
     suppress_health_check=[HealthCheck.too_slow],

@@ -1,5 +1,7 @@
 """Tests for repro.core.engine."""
 
+import math
+
 import pytest
 
 from repro.core import Simulation, SimulationError, units
@@ -45,6 +47,17 @@ class TestScheduling:
         sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.run_until(5.0)
+
+    def test_run_until_nan_rejected(self, sim):
+        hits = []
+        sim.call_at(10.0, lambda: hits.append(10.0))
+        sim.call_at(1e12, lambda: hits.append(1e12))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run_until(math.nan)
+        # Nothing ran and the clock did not move.
+        assert hits == []
+        assert sim.now == 0.0
+        assert len(sim.events) == 2
 
     def test_nested_scheduling_inside_event(self, sim):
         times = []
@@ -114,6 +127,17 @@ class TestPeriodicTask:
     def test_zero_interval_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.every(0.0, lambda: None)
+
+    @pytest.mark.parametrize("interval", [math.nan, -1.0])
+    def test_nan_or_negative_interval_rejected(self, sim, interval):
+        with pytest.raises(SimulationError, match="interval"):
+            sim.every(interval, lambda: None)
+        assert len(sim.events) == 0
+
+    def test_nan_until_rejected(self, sim):
+        with pytest.raises(SimulationError, match="until"):
+            sim.every(1.0, lambda: None, until=math.nan)
+        assert len(sim.events) == 0
 
     def test_start_in_the_past_rejected(self, sim):
         sim.run_until(10.0)

@@ -227,6 +227,28 @@ def test_source_belongs_to_one_group(sim):
         endpoint.register("a0", "b")
 
 
+def test_register_after_first_arrival_rejected(sim):
+    """A group registered late would miss the earlier arrivals: ``a``
+    arrives in week 0, so its arm would read half the endpoint's uptime
+    over weeks 0-3."""
+    endpoint = CloudEndpoint(sim)
+    endpoint.deploy()
+    endpoint.register("b", "arm")
+    endpoint.deliver_many(["a", "b"], 0.5 * WEEK, "gw", "bh")
+    with pytest.raises(ValueError, match="already arrived"):
+        endpoint.register("a", "arm")
+    with pytest.raises(ValueError, match="already arrived"):
+        endpoint.register("a", "new-arm")
+    # ``a`` stays unregistered: its later arrival counts for the
+    # endpoint only.
+    endpoint.deliver_many(["a"], 3.5 * WEEK, "gw", "bh")
+    assert endpoint.weekly_uptime(0.0, 4 * WEEK).uptime == 0.5
+    assert endpoint.weekly_uptime(0.0, 4 * WEEK, "arm").uptime == 0.25
+    # Re-registering an already registered source to its own group is
+    # still a no-op after it arrived.
+    endpoint.register("b", "arm")
+
+
 def _retained_endpoint_bytes(years):
     """Bytes allocated in ``net/cloud.py`` and still alive after an
     as-designed run of ``years``, with the delivered-packet count."""
