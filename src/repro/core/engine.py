@@ -175,7 +175,7 @@ class Simulation:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
@@ -189,7 +189,7 @@ class Simulation:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds from now."""
-        if delay < 0.0:
+        if not delay >= 0.0:  # also rejects NaN
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.call_at(self.now + delay, callback, priority=priority, label=label)
 
@@ -211,6 +211,8 @@ class Simulation:
             raise SimulationError(f"interval must be positive, got {interval}")
         if until is not None and until != until:
             raise SimulationError("until must not be NaN")
+        if start is not None and start != start:
+            raise SimulationError("start must not be NaN")
         first = self.now + interval if start is None else start
         if first < self.now and (until is None or first <= until):
             raise SimulationError(

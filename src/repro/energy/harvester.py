@@ -59,7 +59,7 @@ class HarvestingSystem:
         Harvest is sampled at the interval midpoint; sleep power is
         drawn continuously; leakage applies to storage.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:  # also rejects NaN
             raise ValueError(f"dt must be non-negative, got {dt}")
         if dt == 0.0:
             return

@@ -61,7 +61,7 @@ class Capacitor:
 
     def leak(self, dt: float) -> None:
         """Apply leakage over ``dt`` seconds."""
-        if dt < 0.0:
+        if not dt >= 0.0:  # also rejects NaN
             raise StorageError(f"dt must be non-negative, got {dt}")
         key = (self.leakage_per_day, dt)
         if key != self._leak_key:
@@ -151,7 +151,7 @@ class Battery:
 
     def age(self, dt: float) -> None:
         """Advance calendar aging by ``dt`` seconds."""
-        if dt < 0.0:
+        if not dt >= 0.0:  # also rejects NaN
             raise StorageError("dt must be non-negative")
         self._age_s += dt
         # Clamp stored energy to the shrunken capacity.

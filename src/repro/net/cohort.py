@@ -123,7 +123,7 @@ class CohortPower:
         ``rng`` in member order — the same stream consumption as the
         scalar path's one ``power_at`` call per device.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:  # also rejects NaN
             raise ValueError(f"dt must be non-negative, got {dt}")
         n = int(active.size)
         if dt == 0.0 or n == 0:

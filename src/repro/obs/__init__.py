@@ -10,9 +10,6 @@ alone).  Three pieces:
 * :mod:`repro.obs.snapshot` — picklable :class:`MetricsSnapshot` with a
   commutative, associative ``merge`` so per-worker snapshots reassemble
   bit-identically at any worker count.
-* :mod:`repro.obs.trace` — :class:`EventTracer` spans sampled by event
-  sequence (never by wall clock), so traces are as reproducible as the
-  runs they observe.
 * :mod:`repro.obs.export` — canonical JSONL and Prometheus text
   exporters.
 
@@ -35,18 +32,15 @@ from .snapshot import (
     canonical_labels,
     merge_all,
 )
-from .trace import EventTracer, Span
 
 __all__ = [
     "Counter",
     "EMPTY_SNAPSHOT",
-    "EventTracer",
     "GAUGE_AGGS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "Span",
     "canonical_labels",
     "load_snapshot_line",
     "merge_all",

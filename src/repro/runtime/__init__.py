@@ -4,9 +4,10 @@ One simulation run is single-threaded by design; a *study* of many
 seeds is embarrassingly parallel.  Four modules compose:
 
 * :mod:`repro.runtime.queue` — the one worker pool and the dynamic
-  work-queue scheduler: adaptive chunking, per-run failure capture,
-  broken-pool recovery, and an in-order collector that makes streaming
-  memory-bounded.
+  work-queue scheduler: one run per dispatch, per-run failure capture,
+  broken-pool recovery that re-runs each lost index alone (so only the
+  index that kills its worker is recorded as failed), and an in-order
+  collector that streams results in index order.
 * :mod:`repro.runtime.runner` — :class:`MonteCarloRunner`, the study
   front-end: seed schedules via the hash-chained
   :meth:`repro.core.rng.RandomStreams.fork` lineage, bit-identical

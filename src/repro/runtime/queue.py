@@ -1,12 +1,13 @@
 """Dynamic work-queue scheduling for Monte-Carlo runs, on one worker pool.
 
-:func:`execute_runs` submits chunks of runs to a :class:`WorkerPool` and
-collects them in *completion* order, while an in-order collector hands
-results to the caller in *index* order.  Chunk sizes adapt to the
-observed per-run wall clock so a study whose run times vary does not
-straggle on the tail.  A run that raises becomes a :class:`FailedRun`
-record instead of aborting the study, and a worker that dies breaks only
-the chunks in flight: those indices re-execute on a rebuilt pool.
+:func:`execute_runs` submits one run per future to a :class:`WorkerPool`
+and collects them in *completion* order, while an in-order collector
+hands results to the caller in *index* order.  A run that raises becomes
+a :class:`FailedRun` record instead of aborting the study.  A worker
+that dies breaks every run in flight: each of those indices re-runs
+*alone* on the rebuilt pool, and only an index whose worker dies while
+it is the sole run in flight is recorded as failed — so the failed set
+is a function of the task, never of which runs shared the pool.
 Errors that are not a run's own — a failing ``consume``/``on_failure``
 sink (a full disk under the shard writer), a result that cannot cross
 the process boundary — stop the study and reach the caller unchanged.
@@ -21,15 +22,16 @@ it fall back, for good, to a thread pool of the same size, with one
 Determinism is untouched by any of this: seeds are fixed before
 dispatch (see :func:`~repro.runtime.runner.derive_seeds`), every run is
 independent, and the collector hands results over in run-index order
-no matter which worker finished first.  The collector also bounds
-**streaming** memory: with ``consume=`` (the shard writer) each result
-is handed over once and the scheduler holds only the out-of-order
-window — O(workers x chunk), not O(runs).
+no matter which worker finished first.  With ``consume=`` (the shard
+writer) each result is handed over once, and the scheduler holds only
+the out-of-order window: the results that finished after the lowest
+index still running.  With ``2 x workers`` runs in flight and similar
+run times that is a few times ``workers``; a straggler lets it grow by
+the runs finished meanwhile.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import traceback
 import warnings
@@ -44,7 +46,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 #: Executes one run: ``run_one(task, index, seed) -> RunResult``.  Must
 #: be a picklable module-level function for process-pool dispatch.
@@ -52,21 +54,6 @@ RunOne = Callable[[object, int, int], object]
 
 #: One unit of schedulable work: ``(run index, run seed)``.
 IndexSeed = Tuple[int, int]
-
-#: Aim each dispatched chunk at this much work: long enough to amortize
-#: the pickle/IPC round-trip, short enough that the tail stays balanced.
-TARGET_CHUNK_S = 0.25
-
-#: Hard cap on adaptive chunk growth.  This bounds both scheduling
-#: granularity (a straggler chunk can cost at most this many runs of
-#: imbalance) and streaming memory (the reorder window is O(workers x
-#: MAX_CHUNK) results).
-MAX_CHUNK = 32
-
-#: How many times an index may be caught in a broken pool before it is
-#: recorded as failed instead of re-executed.  A run that reproducibly
-#: kills its worker must not rebuild the pool forever.
-MAX_INDEX_RETRIES = 2
 
 
 class MonteCarloExecutionError(RuntimeError):
@@ -170,16 +157,14 @@ class ExecutionStats:
     #: "serial", "pool" or "thread" — which execution strategy ran
     #: ("thread" when no process pool could be started).
     mode: str = "serial"
-    #: Chunks submitted to the pool (0 for serial execution).
+    #: Runs submitted to the pool, re-runs included (0 for serial
+    #: execution).
     dispatched_chunks: int = 0
-    #: Largest adaptive chunk size the scheduler reached.
-    max_chunk_size: int = 1
     #: Times the process pool died and was rebuilt.
     pool_rebuilds: int = 0
-    #: Indices re-dispatched after being lost to a broken pool.
+    #: Indices re-run alone after being lost to a broken pool.
     reexecuted_indices: int = 0
-    #: High-water mark of results held in the reorder window.  The
-    #: bounded-memory contract: O(workers x chunk), never O(runs).
+    #: High-water mark of results held in the reorder window.
     peak_resident_results: int = 0
 
 
@@ -199,21 +184,19 @@ class ExecutionReport:
 _Outcome = Tuple[str, object]  # ("ok", RunResult) | ("err", FailedRun)
 
 
-def _run_chunk(run_one: RunOne, task: object, items: Sequence[IndexSeed]) -> List[_Outcome]:
-    """Execute a chunk of runs in a worker, capturing per-run failures.
+def _run_chunk(run_one: RunOne, task: object, index: int, seed: int) -> _Outcome:
+    """Execute one run in a worker, capturing its failure.
 
-    Module-level so it pickles.  Exceptions are caught *per run*: a
-    poisoned index yields a :class:`FailedRun` record and the rest of
-    the chunk still executes — the fix for the old all-or-nothing map.
+    Module-level so it pickles.  A run that raises yields a
+    :class:`FailedRun` record instead of an exception, so the study
+    goes on without it.  perfbench's ``runtime.worker`` layer wraps
+    this function by name.
     """
-    outcomes: List[_Outcome] = []
-    for index, seed in items:
-        try:
-            outcomes.append(("ok", run_one(task, index, seed)))
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            outcomes.append(("err", FailedRun(index, seed, error, traceback.format_exc())))
-    return outcomes
+    try:
+        return ("ok", run_one(task, index, seed))
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return ("err", FailedRun(index, seed, error, traceback.format_exc()))
 
 
 class _InOrderCollector:
@@ -222,8 +205,8 @@ class _InOrderCollector:
     Outcomes arrive in whatever order workers finish; callers must see
     them in run-index order (deterministic output files, bit-stable
     float merge order).  The collector buffers only the out-of-order
-    window and flushes greedily, tracking its own high-water mark so
-    the bounded-memory contract is assertable.
+    window and flushes greedily, tracking its own high-water mark
+    (:attr:`ExecutionStats.peak_resident_results`).
     """
 
     def __init__(
@@ -255,23 +238,6 @@ class _InOrderCollector:
             self._pos += 1
 
 
-def _adaptive_chunk_size(
-    ema_run_s: Optional[float], pending: int, workers: int
-) -> int:
-    """Next chunk size from the observed per-run wall clock.
-
-    Three bounds compose: the *target* (enough runs to fill
-    :data:`TARGET_CHUNK_S` of work), the *fair share* (never batch so
-    much that workers idle near the tail), and the hard
-    :data:`MAX_CHUNK` cap that keeps the streaming reorder window small.
-    """
-    if ema_run_s is None or ema_run_s <= 0.0:
-        return 1
-    target = max(1, int(TARGET_CHUNK_S / ema_run_s))
-    fair = max(1, math.ceil(pending / (2 * workers)))
-    return max(1, min(target, fair, MAX_CHUNK))
-
-
 def execute_runs(
     run_one: RunOne,
     task: object,
@@ -287,8 +253,8 @@ def execute_runs(
     or, when it is ``None``, the returned report — in index order,
     regardless of worker count or completion order.  Per-run exceptions
     become :class:`FailedRun` records via ``on_failure`` (or the
-    report); a broken pool is rebuilt and only the in-flight indices
-    re-execute, each at most :data:`MAX_INDEX_RETRIES` times.  An
+    report); a broken pool is rebuilt and each index lost with it
+    re-runs alone, failing only if its worker dies then too.  An
     exception from ``consume`` or ``on_failure`` stops the study and
     propagates.  ``workers == 1`` runs in-process.
     """
@@ -306,7 +272,7 @@ def execute_runs(
     if workers == 1:
         # In-process: same outcomes, one result resident at a time.
         for index, seed in pairs:
-            collector.add(index, _run_chunk(run_one, task, ((index, seed),))[0])
+            collector.add(index, _run_chunk(run_one, task, index, seed))
     else:
         _execute_pool(run_one, task, pairs, workers, collector, report.stats)
     report.stats.peak_resident_results = collector.peak
@@ -323,63 +289,47 @@ def _execute_pool(
 ) -> None:
     """The dynamic dispatch loop.  See module docstring for the design."""
     pending = deque(pairs)
-    retry_counts: Dict[int, int] = {}
-    chunk_size = 1
-    ema_run_s: Optional[float] = None
+    # Indices lost to a broken pool, each to re-run alone.
+    lost: Deque[IndexSeed] = deque()
+    # The future running alone, while one does.
+    solo: Optional[Future] = None
     pool = WorkerPool(workers)
-    inflight: Dict[Future, Tuple[IndexSeed, ...]] = {}
-    try:
-        while pending or inflight:
-            # Top up: keep 2 x workers chunks outstanding — enough to
-            # pipeline, few enough that chunk sizing stays adaptive.
-            while pending and len(inflight) < 2 * workers:
-                items = tuple(
-                    pending.popleft() for _ in range(min(chunk_size, len(pending)))
-                )
-                inflight[pool.submit(_run_chunk, run_one, task, items)] = items
-                stats.dispatched_chunks += 1
-                if len(items) > stats.max_chunk_size:
-                    stats.max_chunk_size = len(items)
+    inflight: Dict[Future, IndexSeed] = {}
 
-            requeue: List[IndexSeed] = []
+    def submit(item: IndexSeed) -> Future:
+        future = pool.submit(_run_chunk, run_one, task, *item)
+        inflight[future] = item
+        stats.dispatched_chunks += 1
+        return future
+
+    try:
+        while pending or lost or inflight:
+            if lost and not inflight:
+                solo = submit(lost.popleft())
+            elif not lost and solo is None:
+                # Keep 2 x workers runs outstanding: enough to pipeline.
+                while pending and len(inflight) < 2 * workers:
+                    submit(pending.popleft())
+
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
             for future in done:
-                items = inflight.pop(future)
+                index, seed = inflight.pop(future)
+                alone = future is solo
+                if alone:
+                    solo = None
                 try:
-                    outcomes = future.result()
+                    outcome = future.result()
                 except BrokenProcessPool:
-                    # A worker died and broke the pool: every chunk in
-                    # flight there fails here.  Re-run exactly those
-                    # indices, on the pool the next submit rebuilds.
-                    for index, seed in items:
-                        retry_counts[index] = retry_counts.get(index, 0) + 1
-                        if retry_counts[index] <= MAX_INDEX_RETRIES:
-                            requeue.append((index, seed))
-                            continue
-                        error = (
-                            f"worker process died {retry_counts[index]} "
-                            "times running this index"
-                        )
-                        collector.add(index, ("err", FailedRun(index, seed, error)))
-                    continue
-                for (index, _seed), outcome in zip(items, outcomes):
-                    collector.add(index, outcome)
-                    if outcome[0] == "ok":
-                        observed = getattr(outcome[1], "wall_clock_s", 0.0)
-                        if observed > 0.0:
-                            ema_run_s = (
-                                observed
-                                if ema_run_s is None
-                                else 0.5 * ema_run_s + 0.5 * observed
-                            )
-            chunk_size = _adaptive_chunk_size(ema_run_s, len(pending), workers)
-
-            if requeue:
-                stats.reexecuted_indices += len(requeue)
-                pending = deque(sorted(requeue) + list(pending))
-                # Relearn chunk size conservatively: one bad index per
-                # chunk keeps blast radius and retry attribution tight.
-                chunk_size = 1
+                    # A worker died and broke the pool: every run in
+                    # flight fails here.  Only a run that was alone can
+                    # be the one that killed it.
+                    if not alone:
+                        lost.append((index, seed))
+                        stats.reexecuted_indices += 1
+                        continue
+                    error = "worker process died running this index"
+                    outcome = ("err", FailedRun(index, seed, error))
+                collector.add(index, outcome)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         stats.mode = "pool" if pool.kind == "process" else "thread"
@@ -390,10 +340,7 @@ __all__ = [
     "ExecutionReport",
     "ExecutionStats",
     "FailedRun",
-    "MAX_CHUNK",
-    "MAX_INDEX_RETRIES",
     "MonteCarloExecutionError",
-    "TARGET_CHUNK_S",
     "WorkerPool",
     "execute_runs",
     "resolve_workers",

@@ -25,10 +25,13 @@ class TestScheduling:
         sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.call_at(5.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_at(math.nan, lambda: None)
 
     def test_negative_delay_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.call_in(-1.0, lambda: None)
+        for delay in (-1.0, math.nan):
+            with pytest.raises(SimulationError):
+                sim.call_in(delay, lambda: None)
 
     def test_clock_lands_on_end_time(self, sim):
         sim.call_at(3.0, lambda: None)
@@ -143,6 +146,9 @@ class TestPeriodicTask:
         sim.run_until(10.0)
         with pytest.raises(SimulationError):
             sim.every(1.0, lambda: None, start=5.0)
+        for until in (None, 20.0):
+            with pytest.raises(SimulationError, match="start"):
+                sim.every(1.0, lambda: None, start=math.nan, until=until)
         assert len(sim.events) == 0
 
     def test_start_in_the_past_after_until_schedules_nothing(self, sim):

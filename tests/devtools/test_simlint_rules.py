@@ -223,7 +223,7 @@ class TestSL009WallClockInSimLayer:
 
     def test_obs_layer_in_scope(self):
         source = "import time\nx = time.monotonic()\n"
-        findings = lint_source(source, module="repro.obs.trace")
+        findings = lint_source(source, module="repro.obs.export")
         assert lines_for(findings, "SL009") == [2]
 
     def test_epoch_clock_in_sim_layer_fires_both_rules(self):

@@ -1,5 +1,7 @@
 """Tests for repro.energy.harvester."""
 
+import math
+
 import pytest
 
 from repro.core import units
@@ -33,8 +35,9 @@ class TestStep:
         assert system.storage.stored_j == before
 
     def test_negative_dt_rejected(self, rng):
-        with pytest.raises(ValueError):
-            make_system().step(-1.0, rng)
+        for dt in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                make_system().step(dt, rng)
 
     def test_sleep_power_drains(self, rng):
         system = make_system(power_w=0.0, stored=1.0)

@@ -1,5 +1,7 @@
 """Tests for repro.energy.storage."""
 
+import math
+
 import pytest
 
 from repro.core import units
@@ -61,8 +63,9 @@ class TestCapacitor:
             cap.charge(-1.0)
         with pytest.raises(StorageError):
             cap.discharge(-1.0)
-        with pytest.raises(StorageError):
-            cap.leak(-1.0)
+        for dt in (-1.0, math.nan):
+            with pytest.raises(StorageError):
+                cap.leak(dt)
 
 
 class TestBattery:
@@ -134,5 +137,8 @@ class TestBattery:
             battery.charge(-1.0)
         with pytest.raises(StorageError):
             battery.discharge(-1.0)
-        with pytest.raises(StorageError):
-            battery.age(-1.0)
+        for dt in (-1.0, math.nan):
+            with pytest.raises(StorageError):
+                battery.age(dt)
+            with pytest.raises(StorageError):
+                battery.leak(dt)

@@ -222,10 +222,11 @@ class TestCohortPowerEquivalence:
             CohortPower(source=source, count=1, initial_stored_j=1.0, capacity_j=0.5)
         with pytest.raises(ValueError):
             CohortPower(source=source, count=1, brownout_threshold=1.0)
-        with pytest.raises(ValueError):
-            CohortPower(source=source, count=1).step_many(
-                -1.0, np.random.default_rng(0), np.arange(1)
-            )
+        for dt in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                CohortPower(source=source, count=1).step_many(
+                    dt, np.random.default_rng(0), np.arange(1)
+                )
 
 
 class TestDeviceCohortConstruction:

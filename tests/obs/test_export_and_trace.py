@@ -1,12 +1,8 @@
-"""Exporter (JSONL / Prometheus) and EventTracer tests."""
+"""Exporter (JSONL / Prometheus) tests."""
 
 import json
 
-import pytest
-
-from repro.core.engine import Simulation
 from repro.obs import (
-    EventTracer,
     MetricsRegistry,
     load_snapshot_line,
     snapshot_json,
@@ -54,58 +50,3 @@ class TestPrometheus:
         assert "h_seconds_count 3" in lines
         # No _sum series: the layer keeps no float sum by design.
         assert not any("h_seconds_sum" in line for line in lines)
-
-
-class TestEventTracer:
-    def run_sim(self, tracer, n=10):
-        sim = Simulation(seed=1)
-        for i in range(n):
-            sim.call_at(float(i), lambda: None, label=f"e{i}")
-        tracer.install(sim)
-        sim.run_until(float(n))
-        return sim
-
-    def test_samples_by_sequence(self):
-        tracer = EventTracer(every=3)
-        self.run_sim(tracer, n=10)
-        assert [s.sequence for s in tracer.spans] == [0, 3, 6, 9]
-        assert tracer.sampled == 4
-        assert tracer.dropped == 0
-
-    def test_limit_counts_drops(self):
-        tracer = EventTracer(every=1, limit=4)
-        self.run_sim(tracer, n=10)
-        assert len(tracer.spans) == 4
-        assert tracer.dropped == 6
-
-    def test_chains_existing_hook(self):
-        sim = Simulation(seed=1)
-        seen = []
-        sim.trace_executed = lambda event: seen.append(event.sequence)
-        sim.call_at(1.0, lambda: None)
-        tracer = EventTracer(every=1).install(sim)
-        sim.run_until(2.0)
-        assert seen == [0]  # the pre-existing hook still fires
-        assert [s.sequence for s in tracer.spans] == [0]
-        tracer.uninstall()
-        assert sim.trace_executed is not tracer._on_event
-
-    def test_double_install_rejected(self):
-        sim = Simulation(seed=1)
-        tracer = EventTracer().install(sim)
-        with pytest.raises(RuntimeError, match="already installed"):
-            tracer.install(sim)
-
-    def test_trace_is_deterministic_across_runs(self):
-        def trace():
-            tracer = EventTracer(every=2)
-            self.run_sim(tracer, n=8)
-            return tracer.as_tuples()
-
-        assert trace() == trace()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EventTracer(every=0)
-        with pytest.raises(ValueError):
-            EventTracer(limit=0)

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from repro.runtime import (
     study_metrics_entries,
 )
 from repro.runtime import queue
-from repro.runtime.queue import MAX_CHUNK
 from repro.runtime.runner import _execute, derive_seeds
 from tests.conftest import needs_pool, refuse_processes
 
@@ -70,6 +70,34 @@ class _AlwaysExits:
 
     def __call__(self, index: int, seed: int) -> float:
         if index == self.kill_index:
+            os._exit(13)
+        return float(index)
+
+
+@dataclass(frozen=True)
+class _ExitsBesideInnocent:
+    """Kills its worker at ``kill_index`` only once ``innocent`` runs too.
+
+    Each attempt of ``innocent`` writes a "started" marker and then
+    sleeps; the poisoned index waits (bounded) for a fresh marker,
+    consumes it and exits.  So on the shared pool the innocent index is
+    in flight at every death the poisoned index causes.
+    """
+
+    marker_dir: str
+    kill_index: int
+    innocent: int
+
+    def __call__(self, index: int, seed: int) -> float:
+        started = Path(self.marker_dir) / f"{self.innocent}.started"
+        if index == self.innocent:
+            started.write_text("started")
+            time.sleep(0.5)
+        elif index == self.kill_index:
+            deadline = time.monotonic() + 2.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            started.unlink(missing_ok=True)
             os._exit(13)
         return float(index)
 
@@ -157,27 +185,20 @@ class TestPoolExecution:
         assert pooled.stats.mode == "pool"
 
     @needs_pool
-    def test_adaptive_chunking_batches_fast_runs(self):
-        report = execute_runs(_execute, _float_task, _pairs(64), workers=2)
-        # Sub-millisecond runs must coalesce: far fewer chunks than runs,
-        # and the chunk size must have grown past the initial 1.
-        assert report.stats.dispatched_chunks < 64
-        assert 1 < report.stats.max_chunk_size <= MAX_CHUNK
-
-    @needs_pool
     def test_streaming_bounded_window(self):
         seen = []
         report = execute_runs(
             _execute, _float_task, _pairs(200), workers=2, consume=seen.append
         )
         assert [r.index for r in seen] == list(range(200))
-        # The reorder window is O(workers x chunk), never O(runs).
-        assert report.stats.peak_resident_results <= 4 * MAX_CHUNK
+        # The reorder window holds only the runs that finished ahead of
+        # the lowest index still running.
         assert report.stats.peak_resident_results < 100
 
 
 class TestBrokenPoolRecovery:
-    """Tentpole: a dead worker re-executes only the lost indices."""
+    """A dead worker re-runs each lost index alone; only a run that dies
+    alone is recorded as failed."""
 
     @needs_pool
     def test_transient_worker_death_recovers_all_runs(self, tmp_path):
@@ -195,6 +216,13 @@ class TestBrokenPoolRecovery:
         assert [f.index for f in report.failures] == [2]
         assert "worker process died" in report.failures[0].error
         assert [r.index for r in report.results] == [0, 1, 3, 4, 5]
+
+    @needs_pool
+    def test_co_flight_index_is_never_blamed(self, tmp_path):
+        task = _ExitsBesideInnocent(str(tmp_path), kill_index=0, innocent=1)
+        report = execute_runs(_execute, task, _pairs(6), workers=2)
+        assert [f.index for f in report.failures] == [0]
+        assert [r.index for r in report.results] == [1, 2, 3, 4, 5]
 
 
 class TestPoolFailuresAreNarrow:
