@@ -169,11 +169,14 @@ class CityScenario:
         extent = side * config.device_spacing_m
         gw_side = max(1, -(-int(extent) // int(config.gateway_spacing_m)))
         spacing = config.gateway_spacing_m
+        # Both are frozen, so every gateway shares one of each.
+        spec = ieee802154.default_spec(tx_power_dbm=4.0)
+        platform = gateway_platform(networked=True)
         for row in range(gw_side):
             for col in range(gw_side):
                 gateway = OwnedGateway(
                     self.sim,
-                    spec=ieee802154.default_spec(tx_power_dbm=4.0),
+                    spec=spec,
                     path_loss=self.path_loss,
                     position=Position((col + 0.5) * spacing, (row + 0.5) * spacing),
                 )
@@ -182,7 +185,7 @@ class CityScenario:
                 FailureProcess(
                     self.sim,
                     gateway,
-                    gateway_platform(networked=True),
+                    platform,
                     stream="gateway-hw",
                 ).arm()
                 self.gateways.append(gateway)

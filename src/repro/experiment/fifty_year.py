@@ -13,7 +13,8 @@ maintenance ledger and the public diary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from ..analysis.diary import ExperimentDiary
@@ -123,6 +124,12 @@ class FiftyYearConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # NaN passes every ordered comparison above and infinity is no
+        # physical quantity; either would fail mid-run or run forever.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass

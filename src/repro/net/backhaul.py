@@ -26,9 +26,9 @@ class OutageModel:
     mttr: float = units.hours(8.0)    # mean time to restore
 
     def __post_init__(self) -> None:
-        if self.mtbf <= 0.0:
+        if not self.mtbf > 0.0:
             raise ValueError("mtbf must be positive")
-        if self.mttr <= 0.0:
+        if not self.mttr > 0.0:
             raise ValueError("mttr must be positive")
 
     @property

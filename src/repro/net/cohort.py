@@ -301,12 +301,14 @@ class DeviceCohort(Entity):
             rng = self.sim.rng("device-hw")
             model = self.lifetime_model
             now = self.sim.now
-            # One scalar draw per member, in member order — the same
-            # stream consumption as arming one FailureProcess per
-            # device.  model.sample(rng, n) would interleave the
-            # per-component draws differently and break equivalence.
+            # One draw per member, in member order: the same calls on
+            # the stream as arming one FailureProcess per device, which
+            # also calls ``draw``.  model.sample(rng, n) would draw risk
+            # by risk across all members instead, interleaving the
+            # per-component draws differently and breaking equivalence.
+            draw = model.draw
             for i in range(self.count):
-                self.death_at[i] = now + float(model.sample(rng, 1)[0])
+                self.death_at[i] = now + draw(rng)
         self._task = self.sim.every(
             self.report_interval, self._report, label=f"report:{self.name}"
         )

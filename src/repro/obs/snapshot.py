@@ -38,8 +38,17 @@ HistogramEntry = Tuple[str, LabelPairs, Tuple[float, ...], Tuple[int, ...], int]
 
 
 def canonical_labels(labels: Mapping[str, str]) -> LabelPairs:
-    """Sort a label mapping into the canonical tuple key."""
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    """Sort a label mapping into the canonical tuple key.
+
+    Keys and values are coerced with ``str``; when every one already is
+    exactly a ``str`` (the usual case, keyword labels), the coercion is
+    the identity and is skipped.
+    """
+    items = labels.items()
+    for k, v in items:
+        if type(k) is not str or type(v) is not str:
+            return tuple(sorted((str(k), str(v)) for k, v in items))
+    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,23 @@ from ..core import units
 
 
 class LifetimeDistribution(Protocol):
-    """Interface every lifetime model implements (times in seconds)."""
+    """Interface every lifetime model implements (times in seconds).
+
+    ``draw`` and ``sample`` are one sampler at two widths: ``draw(rng)``
+    returns exactly ``float(sample(rng, 1)[0])`` and leaves ``rng`` in
+    the same state, because it calls the same numpy sampler once per
+    value and applies the same float operations.  Code that arms one
+    lifetime at a time (failure processes, cohort members) calls
+    ``draw``, which skips the one-element arrays; vector callers keep
+    ``sample``.
+    """
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw ``n`` lifetimes."""
+        ...
+
+    def draw(self, rng: np.random.Generator) -> float:
+        """Draw one lifetime, value for value ``sample(rng, 1)[0]``."""
         ...
 
     def survival(self, t: float) -> float:
@@ -49,11 +62,14 @@ class Exponential:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return rng.exponential(self.scale, size=n)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return rng.exponential(self.scale)
 
     def survival(self, t: float) -> float:
         if t <= 0.0:
@@ -78,13 +94,16 @@ class Weibull:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.shape <= 0.0:
+        if not self.shape > 0.0:
             raise ValueError(f"shape must be positive, got {self.shape}")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return self.scale * rng.weibull(self.shape, size=n)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return self.scale * rng.weibull(self.shape)
 
     def survival(self, t: float) -> float:
         if t <= 0.0:
@@ -112,13 +131,16 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.median <= 0.0:
+        if not self.median > 0.0:
             raise ValueError(f"median must be positive, got {self.median}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return rng.lognormal(math.log(self.median), self.sigma, size=n)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return rng.lognormal(math.log(self.median), self.sigma)
 
     def survival(self, t: float) -> float:
         if t <= 0.0:
@@ -147,11 +169,14 @@ class Deterministic:
     value: float
 
     def __post_init__(self) -> None:
-        if self.value <= 0.0:
+        if not self.value > 0.0:
             raise ValueError(f"value must be positive, got {self.value}")
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return np.full(n, self.value)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(self.value)
 
     def survival(self, t: float) -> float:
         return 1.0 if t < self.value else 0.0
@@ -181,6 +206,10 @@ class CompetingRisks:
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         draws = np.stack([risk.sample(rng, n) for risk in self.risks])
         return draws.min(axis=0)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        # Every risk draws, in risk order, as ``sample`` stacks them.
+        return min([risk.draw(rng) for risk in self.risks])
 
     def survival(self, t: float) -> float:
         result = 1.0

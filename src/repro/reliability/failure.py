@@ -49,7 +49,7 @@ class FailureProcess:
         if self._event is not None:
             raise RuntimeError(f"failure already armed for {self.entity.name}")
         rng = self.sim.rng(self.stream)
-        lifetime = float(self.model.sample(rng, 1)[0])
+        lifetime = self.model.draw(rng)
         when = self.sim.now + lifetime
         self.scheduled_at = when
         self._event = self.sim.call_at(

@@ -100,7 +100,15 @@ def _normalize_override(field: dataclasses.Field, value: object) -> object:
             )
         return value
     if isinstance(default, float):
-        return _as_float(f"overrides.{field.name}", value)
+        number = _as_float(f"overrides.{field.name}", value)
+        # json.loads accepts NaN and Infinity; no config field means
+        # either, and a NaN would otherwise surface mid-run.
+        if not math.isfinite(number):
+            raise RequestError(
+                f"override {field.name!r} must be a finite number, "
+                f"got {number!r}"
+            )
+        return number
     if isinstance(default, int):
         return _as_int(f"overrides.{field.name}", value)
     if isinstance(default, str):

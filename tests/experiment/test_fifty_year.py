@@ -1,5 +1,6 @@
 """Tests for repro.experiment.fifty_year (short horizons for speed)."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from repro.core import units
 from repro.core.policy import AttachmentPolicy
 from repro.experiment import FiftyYearConfig, FiftyYearExperiment
 from repro.radio.ieee802154 import MAX_PAYLOAD_BYTES
+from repro.runtime import ScenarioTask
 
 
 def small_config(**overrides):
@@ -48,11 +50,31 @@ class TestConfigValidation:
             ("initial_hotspots", -3),
             ("wallet_credits", -1),
             ("hotspot_arrivals_per_year", -0.5),
+            # NaN passes every ordered check; infinity is no quantity.
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+            ("report_interval", math.inf),
+            ("extent_m", math.inf),
+            ("storage_j", math.nan),
+            ("gateway_replace_delay", math.nan),
+            ("hotspot_median_tenure_years", math.nan),
+            ("hotspot_arrivals_per_year", math.inf),
+            ("device_additions_per_year", math.nan),
         ],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
+
+    def test_scenario_task_rejects_non_finite_override_at_build(self):
+        task = ScenarioTask(
+            "owned-only",
+            horizon=units.years(1.0),
+            report_interval=units.days(7.0),
+            overrides=(("storage_j", math.nan),),
+        )
+        with pytest.raises(ValueError, match="storage_j must be finite"):
+            task.execute(1)
 
 
 class TestBuild:

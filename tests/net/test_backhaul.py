@@ -1,5 +1,7 @@
 """Tests for repro.net.backhaul."""
 
+import math
+
 import pytest
 
 from repro.core import RandomStreams, Simulation, units
@@ -22,6 +24,10 @@ class TestOutageModel:
             OutageModel(mtbf=0.0)
         with pytest.raises(ValueError):
             OutageModel(mtbf=1.0, mttr=0.0)
+        with pytest.raises(ValueError, match="mtbf must be positive"):
+            OutageModel(mtbf=math.nan)
+        with pytest.raises(ValueError, match="mttr must be positive"):
+            OutageModel(mtbf=1.0, mttr=math.nan)
 
 
 class TestBackhaulOutages:

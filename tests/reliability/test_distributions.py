@@ -38,6 +38,8 @@ class TestExponential:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             Exponential(scale=0.0)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            Exponential(scale=math.nan)
 
 
 class TestWeibull:
@@ -68,6 +70,10 @@ class TestWeibull:
             Weibull(shape=0.0, scale=1.0)
         with pytest.raises(ValueError):
             Weibull(shape=1.0, scale=-1.0)
+        with pytest.raises(ValueError, match="shape must be positive"):
+            Weibull(shape=math.nan, scale=1.0)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            Weibull(shape=1.0, scale=math.nan)
 
 
 class TestLogNormal:
@@ -96,6 +102,10 @@ class TestLogNormal:
             LogNormal(median=0.0, sigma=1.0)
         with pytest.raises(ValueError):
             LogNormal(median=1.0, sigma=0.0)
+        with pytest.raises(ValueError, match="median must be positive"):
+            LogNormal(median=math.nan, sigma=1.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            LogNormal(median=1.0, sigma=math.nan)
 
 
 class TestDeterministic:
@@ -110,6 +120,11 @@ class TestDeterministic:
 
     def test_mean(self):
         assert Deterministic(value=3.0).mean() == 3.0
+
+    def test_invalid_value(self):
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="value must be positive"):
+                Deterministic(value=value)
 
 
 class TestCompetingRisks:

@@ -139,6 +139,27 @@ def test_int_float_coercion_normalizes():
     assert isinstance(a.years, float)
 
 
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        # json.loads reads these literals as float nan/inf.
+        (b'{"hotspot_median_tenure_years": NaN}', "hotspot_median_tenure_years"),
+        (b'{"storage_j": NaN}', "storage_j"),
+        (b'{"extent_m": Infinity}', "extent_m"),
+        (b'{"extent_m": -Infinity}', "extent_m"),
+        (b'{"gateway_replace_delay": NaN}', "gateway_replace_delay"),
+    ],
+)
+@pytest.mark.parametrize("endpoint", ["run", "mc"])
+def test_non_finite_overrides_rejected(body, field, endpoint):
+    wire = b'{"scenario": "owned-only", "overrides": ' + body + b"}"
+    with pytest.raises(RequestError) as refused:
+        parse_request_json(wire, endpoint)
+    assert str(refused.value).startswith(
+        f"override {field!r} must be a finite number, got "
+    )
+
+
 def test_override_coercion_against_config_types():
     request = parse_request(
         {

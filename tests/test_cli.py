@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,20 @@ class TestRequestParity:
             pytest.param(["mc", "as-designed", "--runs", "0"],
                          {"scenario": "as-designed", "runs": 0},
                          id="mc-runs-0"),
+            # argparse's float() and json.loads both read non-finite
+            # spellings; each surface refuses them with one message.
+            pytest.param(["run", "as-designed", "--years", "nan"],
+                         {"scenario": "as-designed", "years": math.nan},
+                         id="run-years-nan"),
+            pytest.param(["mc", "as-designed", "--years", "inf"],
+                         {"scenario": "as-designed", "years": math.inf},
+                         id="mc-years-inf"),
+            pytest.param(["run", "as-designed", "--years", "1", "--report-days", "nan"],
+                         {"scenario": "as-designed", "years": 1, "report_days": math.nan},
+                         id="run-report-days-nan"),
+            pytest.param(["mc", "as-designed", "--years", "1", "--report-days", "inf"],
+                         {"scenario": "as-designed", "years": 1, "report_days": math.inf},
+                         id="mc-report-days-inf"),
             pytest.param(["run", "as-designed", "--faults", "PLAN"],
                          {"scenario": "as-designed", "faults": {"version": 1}},
                          id="run-plan-without-faults"),
