@@ -19,6 +19,10 @@ Quick start::
 
 Subpackages
 -----------
+``import repro`` loads none of them: import the one you use (``from
+repro.experiment import run_scenario``), so each entry point pays only
+for the layers it runs.
+
 ``core``          discrete-event kernel, hierarchy, lifetimes, policies
 ``reliability``   hazard models, component lifetimes, survival analysis
 ``energy``        harvesters, storage, intermittency
@@ -30,44 +34,11 @@ Subpackages
 ``analysis``      AS concentration, uptime, metrics, diary
 ``experiment``    the §4 fifty-year experiment and scenarios
 ``faults``        deterministic fault injection + invariant auditing
-``obs``           deterministic telemetry: metrics, traces, exporters
+``obs``           deterministic telemetry: metrics, snapshots, exporters
 ``runtime``       deterministic parallel Monte-Carlo execution
 ``serve``         scenario-as-a-service HTTP endpoint, content-keyed cache
 """
 
 __version__ = "1.0.0"
 
-from . import (
-    analysis,
-    city,
-    core,
-    econ,
-    energy,
-    experiment,
-    faults,
-    net,
-    obs,
-    obsolescence,
-    radio,
-    reliability,
-    runtime,
-    serve,
-)
-
-__all__ = [
-    "analysis",
-    "city",
-    "core",
-    "econ",
-    "energy",
-    "experiment",
-    "faults",
-    "net",
-    "obs",
-    "obsolescence",
-    "radio",
-    "reliability",
-    "runtime",
-    "serve",
-    "__version__",
-]
+__all__ = ["__version__"]

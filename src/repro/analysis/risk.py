@@ -9,15 +9,22 @@ studies (an AS outage is one draw that removes many gateways at once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from ..core.hierarchy import Hierarchy
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def dependency_graph(hierarchy: Hierarchy) -> nx.DiGraph:
-    """The hierarchy as a directed graph, edges pointing upstream."""
+    """The hierarchy as a directed graph, edges pointing upstream.
+
+    Needs networkx, the ``analysis`` extra; nothing else in the package
+    does, so it is imported here rather than with the module.
+    """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for entity in hierarchy.entities:
         graph.add_node(entity.name, tier=entity.TIER, alive=entity.alive)

@@ -317,17 +317,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .devtools.simlint import run
-
-    return run(
-        args.paths,
-        fmt=args.format,
-        list_rules=args.list_rules,
-        project=args.project,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -451,12 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", default="figures")
     export.add_argument("--seed", type=int, default=2021)
 
-    lint = sub.add_parser(
+    # Listed for --help only: main() hands ``lint`` argv to simlint,
+    # whose parser owns the flags, so no other command loads it.
+    sub.add_parser(
         "lint", help="simlint: determinism & unit-hygiene static analysis"
     )
-    from .devtools.simlint import add_lint_arguments
-
-    add_lint_arguments(lint)
 
     return parser
 
@@ -472,12 +460,16 @@ COMMANDS = {
     "la": _cmd_la,
     "capacity": _cmd_capacity,
     "export": _cmd_export,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "lint":
+        from .devtools.simlint.cli import main as lint_main
+
+        return lint_main(argv[1:], prog="repro lint")
     parser = build_parser()
     args = parser.parse_args(argv)
     from .serve.request import RequestError

@@ -49,7 +49,7 @@ from .analyzer import (
     lint_source,
     parse_suppressions,
 )
-from .cli import add_lint_arguments, main, run
+from .cli import main, run
 from .findings import Finding, ModuleContext, module_name_for
 from .project import ProjectConfig, ProjectIndex, load_project_config
 from .project_rules import (
@@ -76,7 +76,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "parse_suppressions",
-    "add_lint_arguments",
     "main",
     "run",
     "Finding",

@@ -1,8 +1,9 @@
 """Command-line front end for simlint.
 
-Reachable three ways, all sharing :func:`run`:
+Reachable three ways, all through :func:`main`:
 
 * ``python -m repro lint [--project] [--format json|github] [paths...]``
+  (``repro.cli`` hands its argv over unparsed)
 * ``python -m repro.devtools.simlint ...`` (standalone)
 * the CI ``lint-sim`` (``--format github``) and ``lint-project``
   (``--project --format json``) steps.
@@ -26,32 +27,6 @@ def default_target() -> Path:
     import repro
 
     return Path(repro.__file__).parent
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach simlint's options to ``parser`` (shared with repro.cli)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="report format (default: text; github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program pass (SL010-SL014: cross-module "
-        "stream/metric/topology/layering/unit contracts)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
 
 
 def run(
@@ -82,13 +57,35 @@ def run(
     return 1 if findings else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.devtools.simlint``)."""
+def main(argv: Optional[List[str]] = None, prog: str = "simlint") -> int:
+    """Parse ``argv`` and lint; ``prog`` names the command in usage and
+    error lines (``repro lint`` when reached through ``repro.cli``)."""
     parser = argparse.ArgumentParser(
-        prog="simlint",
+        prog=prog,
         description="AST-based determinism & unit-hygiene analyzer for centurysim",
     )
-    add_lint_arguments(parser)
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories to lint (default: the repro package)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "github"),
+        default="text",
+        help="report format (default: text; github = workflow annotations)",
+    )
+    parser.add_argument(
+        "--project",
+        action="store_true",
+        help="also run the whole-program pass (SL010-SL014: cross-module "
+        "stream/metric/topology/layering/unit contracts)",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalog and exit",
+    )
     args = parser.parse_args(argv)
     return run(
         args.paths,

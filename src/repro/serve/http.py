@@ -84,7 +84,13 @@ async def _read_head(
         name, sep, value = line.partition(":")
         if not sep:
             raise _BadRequest(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # Two framings of one message: refuse rather than pick one.
+            raise _BadRequest(
+                400, f"bad Content-Length: {headers[name]!r} and {value!r}"
+            )
+        headers[name] = value
     return method.upper(), target, headers
 
 
@@ -94,12 +100,18 @@ async def _read_body(
     if "transfer-encoding" in headers:
         raise _BadRequest(400, "chunked bodies are not supported")
     raw = headers.get("content-length", "0")
-    try:
-        length = int(raw)
-    except ValueError:
-        raise _BadRequest(400, f"bad Content-Length {raw!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise _BadRequest(413, f"body of {length} bytes exceeds the limit")
+    # RFC 9110 §8.6: 1*DIGIT and nothing else; int() alone would also
+    # read "+3", "1_0" and "-5".
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadRequest(400, f"bad Content-Length {raw!r}")
+    # More digits than the limit has is over it, and int() refuses a
+    # string of more than 4300.
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise _BadRequest(
+            413, f"body exceeds the limit of {MAX_BODY_BYTES} bytes"
+        )
+    length = int(digits)
     if length == 0:
         return b""
     try:
@@ -281,7 +293,14 @@ class HttpServer:
 async def serve_forever(
     service: ScenarioService, host: str, port: int
 ) -> HttpServer:
-    """CLI entry: start, announce, and serve until SIGTERM/SIGINT."""
+    """CLI entry: start, announce, and serve until SIGTERM/SIGINT.
+
+    The request parser reads the scenario table, which is imported
+    before ``listening`` is announced: a server that says it listens
+    answers its first request without importing the model.
+    """
+    from ..experiment import scenarios  # noqa: F401
+
     server = HttpServer(service, host=host, port=port)
     await server.start()
     print(
