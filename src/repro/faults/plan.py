@@ -22,28 +22,44 @@ extends — the run's single :class:`FaultController`, which:
 
 JSON plan format (version 1)::
 
-    {
-      "version": 1,
-      "name": "ten-fault-chaos",
-      "faults": [
+    {"version": 1, "name": "ten-fault-chaos", "faults": [
         {"kind": "kill", "at_years": 5, "select": {"by": "tier", "tier": "gateway"}},
-        {"kind": "wallet-drain", "at_years": 12, "fraction": 0.5}
-      ]
-    }
+        {"kind": "wallet-drain", "at_years": 12, "fraction": 0.5}]}
 
-Time fields take exactly one unit suffix (``_s``, ``_hours``, ``_days``,
-``_years``); everything else mirrors each spec's ``to_dict`` output.
-Malformed plans raise :class:`FaultPlanError` with the offending fault's
-index in the message.
+Each fault is its ``kind`` plus that kind's fields (``?``: optional,
+taking the constructor's default)::
+
+    kill                 at, select, reason?, mode?
+    degrade              at, select, duration
+    flap                 at, select, down, up, cycles?
+    churn-burst          at, k?
+    wallet-drain         at, fraction? or credits?, resource?
+    maintenance-no-show  at, duration
+    custodian-lapse      at, duration
+    select               by?, tier?, names?, k?, where?
+
+Time fields (at, duration, down, up) are numbers with exactly one unit
+suffix: ``_s``, ``_hours``, ``_days`` or ``_years``.  ``k``, ``cycles``
+and ``credits`` are integers, ``fraction`` a number, ``names`` a list of
+strings, ``select`` and ``where`` objects, the rest strings.  Reading is
+strict: a bool is never a number, numbers are finite, ``null`` stands
+only for a ``None`` default, and unknown fields are refused; each error
+is one :class:`FaultPlanError` naming the fault's index, kind and field.
+The canonical form (:meth:`FaultPlan.to_dict`, which the serve cache and
+shard digests hash) writes times as ``<name>_s`` and leaves ``reason``,
+``mode``, ``resource`` and the optional selector and wallet fields out
+at their defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
 
-from .spec import SPEC_KINDS, FaultSpec
+from .spec import SPEC_KINDS, FaultSpec, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..core.engine import Simulation
@@ -233,7 +249,7 @@ class FaultPlan:
         return {
             "version": PLAN_FORMAT_VERSION,
             "name": self.name,
-            "faults": [spec.to_dict() for spec in self.specs],
+            "faults": [_CODECS[type(spec)].encode(spec) for spec in self.specs],
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -246,11 +262,17 @@ class FaultPlan:
                 f"plan must be a JSON object, got {type(payload).__name__}"
             )
         version = payload.get("version")
-        if version != PLAN_FORMAT_VERSION:
+        if isinstance(version, bool) or version != PLAN_FORMAT_VERSION:
             raise FaultPlanError(
                 f"unsupported plan version {version!r} "
                 f"(this build reads version {PLAN_FORMAT_VERSION})"
             )
+        unknown = payload.keys() - {"version", "name", "faults"}
+        if unknown:
+            raise FaultPlanError(f"unknown plan field(s) {sorted(unknown)}")
+        name = payload.get("name", "faults")
+        if not isinstance(name, str):
+            raise FaultPlanError(f"field 'name' must be a string, got {_describe(name)}")
         raw_faults = payload.get("faults")
         if not isinstance(raw_faults, list):
             raise FaultPlanError("plan needs a 'faults' array")
@@ -259,22 +281,147 @@ class FaultPlan:
             if not isinstance(raw, dict):
                 raise FaultPlanError(f"fault #{index} must be an object")
             kind = raw.get("kind")
-            spec_cls = SPEC_KINDS.get(kind)
+            spec_cls = SPEC_KINDS.get(kind) if isinstance(kind, str) else None
             if spec_cls is None:
                 raise FaultPlanError(
                     f"fault #{index}: unknown kind {kind!r} "
                     f"(options: {sorted(SPEC_KINDS)})"
                 )
             try:
-                specs.append(spec_cls.from_dict(raw))
-            except (KeyError, TypeError, ValueError) as exc:
+                specs.append(_CODECS[spec_cls].decode(raw))
+            except ValueError as exc:
                 raise FaultPlanError(f"fault #{index} ({kind}): {exc}") from exc
+        return cls(name=name, specs=tuple(specs))
+
+
+# -- the spec codec ---------------------------------------------------------
+#: Accepted time-field suffixes in plan JSON, with seconds conversions.
+_TIME_SUFFIXES = (
+    ("_s", 1.0), ("_hours", 3600.0), ("_days", 86400.0), ("_years", 365.25 * 86400.0)
+)
+
+
+class _Expected(Exception):
+    """A decoder's refusal; its args: what a value must be, what it was."""
+
+
+def _describe(value: object) -> str:
+    return repr(value) if isinstance(value, float) else type(value).__name__
+
+
+def _number(value: object) -> float:
+    # bool is an int subclass; json.loads reads NaN, Infinity and
+    # integers past the float range (the comparison is exact).
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise _Expected("a finite number")
+
+
+def _exactly(value: object, kind: type, expected: str) -> object:
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise _Expected(expected)
+
+
+def _strings(items: object, container: type, noun: str):
+    if not isinstance(items, container):
+        raise _Expected(f"{noun} of strings")
+    for item in items.values() if container is dict else items:
+        if not isinstance(item, str):
+            raise _Expected(f"{noun} of strings", f"{noun} holding {_describe(item)}")
+    return tuple(sorted(items.items())) if container is dict else tuple(items)
+
+
+#: Field annotation -> its JSON (decode, encode); None writes as is.
+_SHAPES = {
+    "float": (_number, None),
+    "int": (lambda value: _exactly(value, int, "an integer"), None),
+    "str": (lambda value: _exactly(value, str, "a string"), None),
+    "Tuple[str, ...]": (lambda value: _strings(value, list, "a list"), list),
+    "Tuple[Tuple[str, str], ...]": (
+        lambda value: _strings(value, dict, "an object"), dict
+    ),
+    "Selector": (
+        lambda value: _CODECS[Selector].decode(value, "select."),
+        lambda selector: _CODECS[Selector].encode(selector),
+    ),
+}
+
+
+class _Codec:
+    """One dataclass's JSON shape, read from its fields: each JSON type
+    from the annotation (``Optional`` also reads ``null``), time and
+    left-out-at-default from the metadata, required from no default."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        self.kind = getattr(cls, "KIND", None)  # a spec's JSON "kind"
+        #: Writing: (name, key, encode, omit_default, default) per field.
+        self.fields: List[tuple] = []
+        #: Reading: JSON key -> (name, decode, seconds factor, nullable).
+        self.keys: Dict[str, tuple] = {}
+        #: Reading: required field -> the error for leaving it out.
+        self.missing: Dict[str, str] = {}
+        for f in dataclasses.fields(cls):
+            nullable = f.type.startswith("Optional[")
+            decode, encode = _SHAPES[f.type[len("Optional["):-1] if nullable else f.type]
+            spellings = [(f.name, None)]
+            if f.default is f.default_factory is dataclasses.MISSING:
+                self.missing[f.name] = f"missing field {f.name!r}"
+            if f.metadata.get("time"):
+                spellings = [(f.name + sfx, factor) for sfx, factor in _TIME_SUFFIXES]
+                options = ", ".join(key for key, _ in spellings)
+                self.missing[f.name] = f"fault needs exactly one of {options}"
+            for key, factor in spellings:
+                self.keys[key] = (f.name, decode, factor, nullable)
+            self.fields.append((f.name, spellings[0][0], encode,
+                                f.metadata.get("omit_default"), f.default))
+
+    def encode(self, obj: object) -> dict:
+        payload = {"kind": self.kind} if self.kind else {}
+        for name, key, encode, omit_default, default in self.fields:
+            value = getattr(obj, name)
+            if not (omit_default and value == default):
+                payload[key] = value if encode is None else encode(value)
+        return payload
+
+    def decode(self, payload: dict, path: str = ""):
+        """Build the class from ``payload``; ``path`` prefixes field names
+        in errors."""
+        if not isinstance(payload, dict):
+            raise _Expected("an object")
+        kwargs, unknown, keys = {}, [], self.keys
+        for key, value in payload.items():
+            wire = keys.get(key)
+            if wire is None:
+                if key != "kind" or not self.kind:
+                    unknown.append(path + key)
+                continue
+            name, decode, factor, nullable = wire
+            if name in kwargs:  # a time field spelled twice
+                raise FaultPlanError(f"{self.missing[name]} (got {sorted(payload)})")
+            try:
+                value = None if value is None and nullable else decode(value)
+            except _Expected as exc:
+                got = exc.args[1] if len(exc.args) > 1 else _describe(value)
+                raise FaultPlanError(
+                    f"field {path + key!r} must be {exc.args[0]}, got {got}"
+                ) from None
+            kwargs[name] = value if factor is None else value * factor
+        for name in self.missing:
+            if name not in kwargs:
+                raise FaultPlanError(f"{self.missing[name]} (got {sorted(payload)})")
+        if unknown:
+            raise FaultPlanError(f"unknown field(s) {sorted(unknown)}")
         try:
-            return cls(
-                name=str(payload.get("name", "faults")), specs=tuple(specs)
-            )
-        except FaultPlanError as exc:
-            raise FaultPlanError(str(exc)) from exc
+            return self.cls(**kwargs)
+        except ValueError as exc:
+            raise FaultPlanError(f"field {path[:-1]!r}: {exc}" if path else str(exc))
+
+
+#: Every JSON-coded class -> its codec.
+_CODECS = {cls: _Codec(cls) for cls in (Selector, *SPEC_KINDS.values())}
 
 
 def load_plan(path: str) -> FaultPlan:

@@ -34,6 +34,7 @@ monotonicity the metamorphic property suite asserts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, List, Optional, Tuple
 
@@ -46,6 +47,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 DELIVERY_GATING_TIERS = frozenset({"backhaul", "cloud"})
 
 _SELECTOR_MODES = ("name", "tier", "k-random", "blast-radius")
+
+#: Field metadata for the plan codec (:mod:`repro.faults.plan`): a
+#: ``_TIME`` field is seconds, spelled in JSON with a unit suffix; an
+#: ``_OMIT_DEFAULT`` field is left out of the JSON at its default.
+_TIME = {"time": True}
+_OMIT_DEFAULT = {"omit_default": True}
+
+
+def _check_duration(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _blast_size(entity: Any) -> int:
@@ -80,10 +92,10 @@ class Selector:
     """
 
     by: str = "tier"
-    tier: Optional[str] = None
-    names: Tuple[str, ...] = ()
-    k: Optional[int] = None
-    where: Tuple[Tuple[str, str], ...] = ()
+    tier: Optional[str] = field(default=None, metadata=_OMIT_DEFAULT)
+    names: Tuple[str, ...] = field(default=(), metadata=_OMIT_DEFAULT)
+    k: Optional[int] = field(default=None, metadata=_OMIT_DEFAULT)
+    where: Tuple[Tuple[str, str], ...] = field(default=(), metadata=_OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.by not in _SELECTOR_MODES:
@@ -160,7 +172,7 @@ class Selector:
         pool.sort(key=lambda e: (-_blast_size(e), e.name))
         return pool[: self.k or 1]
 
-    # -- identity / serialization --------------------------------------
+    # -- identity -------------------------------------------------------
     def key(self) -> str:
         """Stable content key used in stream names and event labels."""
         parts = [self.by]
@@ -174,29 +186,6 @@ class Selector:
             parts.append(f"{attribute}={expected}")
         return ",".join(parts)
 
-    def to_dict(self) -> dict:
-        payload: dict = {"by": self.by}
-        if self.tier is not None:
-            payload["tier"] = self.tier
-        if self.names:
-            payload["names"] = list(self.names)
-        if self.k is not None:
-            payload["k"] = self.k
-        if self.where:
-            payload["where"] = {attribute: value for attribute, value in self.where}
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Selector":
-        where = tuple(sorted(dict(payload.get("where", {})).items()))
-        return cls(
-            by=payload.get("by", "tier"),
-            tier=payload.get("tier"),
-            names=tuple(payload.get("names", ())),
-            k=payload.get("k"),
-            where=where,
-        )
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -204,11 +193,11 @@ class FaultSpec:
 
     KIND: ClassVar[str] = ""
 
-    at: float
+    at: float = field(metadata=_TIME)
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
-            raise ValueError(f"fault time must be non-negative, got {self.at}")
+        if not 0.0 <= self.at < math.inf:
+            raise ValueError(f"at must be non-negative and finite, got {self.at}")
 
     @property
     def delivery_gating(self) -> bool:
@@ -229,13 +218,6 @@ class FaultSpec:
     def fire(self, sim: "Simulation", controller: "FaultController") -> None:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultSpec":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class KillFault(FaultSpec):
@@ -249,9 +231,9 @@ class KillFault(FaultSpec):
 
     KIND: ClassVar[str] = "kill"
 
-    select: Selector = field(default_factory=Selector)
-    reason: str = "fault-injected"
-    mode: str = "fail"  # "fail" (breakage) or "retire" (deliberate removal)
+    select: Selector
+    reason: str = field(default="fault-injected", metadata=_OMIT_DEFAULT)
+    mode: str = field(default="fail", metadata=_OMIT_DEFAULT)  # or "retire"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -272,23 +254,6 @@ class KillFault(FaultSpec):
                 entity.fail(reason=self.reason)
         controller.note(self, "kill", [e.name for e in targets])
 
-    def to_dict(self) -> dict:
-        payload = {"kind": self.KIND, "at_s": self.at, "select": self.select.to_dict()}
-        if self.reason != "fault-injected":
-            payload["reason"] = self.reason
-        if self.mode != "fail":
-            payload["mode"] = self.mode
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KillFault":
-        return cls(
-            at=_time_from(payload, "at"),
-            select=Selector.from_dict(payload["select"]),
-            reason=payload.get("reason", "fault-injected"),
-            mode=payload.get("mode", "fail"),
-        )
-
 
 @dataclass(frozen=True)
 class DegradeFault(FaultSpec):
@@ -304,13 +269,12 @@ class DegradeFault(FaultSpec):
 
     KIND: ClassVar[str] = "degrade"
 
-    select: Selector = field(default_factory=Selector)
-    duration: float = 0.0
+    select: Selector
+    duration: float = field(metadata=_TIME)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _check_duration("duration", self.duration)
 
     @property
     def delivery_gating(self) -> bool:
@@ -333,22 +297,6 @@ class DegradeFault(FaultSpec):
 
         controller.schedule(self, sim.now + self.duration, restore, prefix="restore")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "at_s": self.at,
-            "duration_s": self.duration,
-            "select": self.select.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DegradeFault":
-        return cls(
-            at=_time_from(payload, "at"),
-            select=Selector.from_dict(payload["select"]),
-            duration=_time_from(payload, "duration"),
-        )
-
 
 @dataclass(frozen=True)
 class FlapFault(FaultSpec):
@@ -361,15 +309,15 @@ class FlapFault(FaultSpec):
 
     KIND: ClassVar[str] = "flap"
 
-    select: Selector = field(default_factory=Selector)
-    down: float = 0.0
-    up: float = 0.0
+    select: Selector
+    down: float = field(metadata=_TIME)
+    up: float = field(metadata=_TIME)
     cycles: int = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.down <= 0.0 or self.up <= 0.0:
-            raise ValueError("down and up durations must be positive")
+        _check_duration("down", self.down)
+        _check_duration("up", self.up)
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
 
@@ -406,26 +354,6 @@ class FlapFault(FaultSpec):
 
         controller.schedule(self, sim.now + self.down, up_edge, prefix="restore")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "at_s": self.at,
-            "down_s": self.down,
-            "up_s": self.up,
-            "cycles": self.cycles,
-            "select": self.select.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FlapFault":
-        return cls(
-            at=_time_from(payload, "at"),
-            select=Selector.from_dict(payload["select"]),
-            down=_time_from(payload, "down"),
-            up=_time_from(payload, "up"),
-            cycles=int(payload.get("cycles", 1)),
-        )
-
 
 @dataclass(frozen=True)
 class HotspotChurnBurst(FaultSpec):
@@ -457,13 +385,6 @@ class HotspotChurnBurst(FaultSpec):
             hotspot.retire(reason="churn-burst")
         controller.note(self, "churn-burst", [h.name for h in targets])
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "at_s": self.at, "k": self.k}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HotspotChurnBurst":
-        return cls(at=_time_from(payload, "at"), k=int(payload["k"]))
-
 
 @dataclass(frozen=True)
 class WalletDrain(FaultSpec):
@@ -477,9 +398,9 @@ class WalletDrain(FaultSpec):
 
     KIND: ClassVar[str] = "wallet-drain"
 
-    fraction: Optional[float] = None
-    credits: Optional[int] = None
-    resource: str = "wallet"
+    fraction: Optional[float] = field(default=None, metadata=_OMIT_DEFAULT)
+    credits: Optional[int] = field(default=None, metadata=_OMIT_DEFAULT)
+    resource: str = field(default="wallet", metadata=_OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -509,25 +430,6 @@ class WalletDrain(FaultSpec):
         removed = wallet.drain(credits=self.credits, fraction=self.fraction)
         controller.note(self, f"wallet-drain({removed})", [self.resource])
 
-    def to_dict(self) -> dict:
-        payload: dict = {"kind": self.KIND, "at_s": self.at}
-        if self.fraction is not None:
-            payload["fraction"] = self.fraction
-        if self.credits is not None:
-            payload["credits"] = self.credits
-        if self.resource != "wallet":
-            payload["resource"] = self.resource
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WalletDrain":
-        return cls(
-            at=_time_from(payload, "at"),
-            fraction=payload.get("fraction"),
-            credits=payload.get("credits"),
-            resource=payload.get("resource", "wallet"),
-        )
-
 
 @dataclass(frozen=True)
 class MaintenanceNoShow(FaultSpec):
@@ -542,12 +444,11 @@ class MaintenanceNoShow(FaultSpec):
 
     KIND: ClassVar[str] = "maintenance-no-show"
 
-    duration: float = 0.0
+    duration: float = field(metadata=_TIME)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _check_duration("duration", self.duration)
 
     def _key_detail(self) -> str:
         return f"for={self.duration:g}"
@@ -558,15 +459,6 @@ class MaintenanceNoShow(FaultSpec):
 
     def fire(self, sim: "Simulation", controller: "FaultController") -> None:
         controller.note(self, "maintenance-no-show", [])
-
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "at_s": self.at, "duration_s": self.duration}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MaintenanceNoShow":
-        return cls(
-            at=_time_from(payload, "at"), duration=_time_from(payload, "duration")
-        )
 
 
 @dataclass(frozen=True)
@@ -580,12 +472,11 @@ class CustodianLapse(FaultSpec):
 
     KIND: ClassVar[str] = "custodian-lapse"
 
-    duration: float = 0.0
+    duration: float = field(metadata=_TIME)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _check_duration("duration", self.duration)
 
     @property
     def delivery_gating(self) -> bool:
@@ -607,15 +498,6 @@ class CustodianLapse(FaultSpec):
 
         controller.schedule(self, sim.now + self.duration, restore, prefix="restore")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "at_s": self.at, "duration_s": self.duration}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CustodianLapse":
-        return cls(
-            at=_time_from(payload, "at"), duration=_time_from(payload, "duration")
-        )
-
 
 #: JSON ``kind`` -> spec class, in catalog order.
 SPEC_KINDS = {
@@ -630,33 +512,3 @@ SPEC_KINDS = {
         CustodianLapse,
     )
 }
-
-#: Accepted time-field suffixes in plan JSON, with seconds conversions.
-_TIME_SUFFIXES: Tuple[Tuple[str, float], ...] = (
-    ("_s", 1.0),
-    ("_hours", 3600.0),
-    ("_days", 86400.0),
-    ("_years", 365.25 * 86400.0),
-)
-
-
-def _time_from(payload: dict, fieldname: str) -> float:
-    """Read a duration field with an explicit unit suffix.
-
-    Exactly one of ``<field>_s`` / ``<field>_hours`` / ``<field>_days`` /
-    ``<field>_years`` must be present — bare unsuffixed numbers are
-    rejected so plan files stay unit-unambiguous (the simlint SL-series
-    hygiene, applied to data).
-    """
-    present = [
-        (suffix, factor)
-        for suffix, factor in _TIME_SUFFIXES
-        if fieldname + suffix in payload
-    ]
-    if len(present) != 1:
-        options = ", ".join(fieldname + suffix for suffix, _ in _TIME_SUFFIXES)
-        raise ValueError(
-            f"fault needs exactly one of {options} (got {sorted(payload)})"
-        )
-    suffix, factor = present[0]
-    return float(payload[fieldname + suffix]) * factor

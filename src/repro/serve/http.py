@@ -239,6 +239,14 @@ class HttpServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            # A pool worker forked while this connection was open holds a
+            # copy of its socket, so close() alone sends no FIN; the
+            # half-close acts on the socket itself.
+            try:
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except OSError:
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()

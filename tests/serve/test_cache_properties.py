@@ -10,6 +10,9 @@ Three properties carry the serving layer:
 3. A cache hit is byte-identical to the miss that populated it and to
    a fresh computation — the "perfect cache" claim, sampled across
    random (scenario, seed, overrides) draws.
+
+A fourth guards the boundary: any JSON value as a request's fault plan
+parses or is a ``RequestError`` (a 400), never another exception.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import run_async
 from repro.experiment.scenarios import SCENARIOS
 from repro.faults.plans import pinned_chaos_plan
+from repro.faults.spec import SPEC_KINDS
 from repro.radio.ieee802154 import MAX_PAYLOAD_BYTES
 from repro.serve import (
     ResponseCache,
@@ -31,6 +35,7 @@ from repro.serve import (
     parse_request,
     parse_request_json,
 )
+from repro.serve.request import RequestError
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 
@@ -135,6 +140,67 @@ def test_integral_float_spellings_share_one_digest():
         parse_request_json(body, "run").digest() for body in spellings
     }
     assert len(digests) == 1
+
+
+WORDS = st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | WORDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(WORDS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_junk(strategy):
+    return strategy | JSON_VALUES
+
+
+NUMBERS = st.integers(-2, 10) | st.floats()
+SELECTOR_PAYLOADS = st.fixed_dictionaries(
+    {},
+    optional={
+        "by": _or_junk(st.sampled_from(["name", "tier", "k-random",
+                                        "blast-radius"])),
+        "tier": _or_junk(st.sampled_from(["gateway", "cloud"])),
+        "names": _or_junk(st.lists(WORDS, max_size=2)),
+        "k": _or_junk(NUMBERS),
+        "where": _or_junk(st.dictionaries(WORDS, WORDS, max_size=2)),
+    },
+)
+FAULT_PAYLOADS = st.fixed_dictionaries(
+    {"kind": _or_junk(st.sampled_from(sorted(SPEC_KINDS)))},
+    optional={
+        **{
+            field + suffix: _or_junk(NUMBERS)
+            for field in ("at", "duration", "down", "up")
+            for suffix in ("", "_s", "_days")
+        },
+        "select": _or_junk(SELECTOR_PAYLOADS),
+        **{name: _or_junk(NUMBERS)
+           for name in ("k", "cycles", "credits", "fraction")},
+        "mode": _or_junk(st.sampled_from(["fail", "retire"])),
+        "reason": _or_junk(WORDS),
+        "resource": _or_junk(WORDS),
+    },
+)
+PLAN_PAYLOADS = _or_junk(st.fixed_dictionaries(
+    {"version": _or_junk(st.just(1)),
+     "faults": _or_junk(st.lists(FAULT_PAYLOADS, max_size=3))},
+    optional={"name": _or_junk(WORDS)},
+))
+
+
+@settings(deadline=None, max_examples=300)
+@given(faults=PLAN_PAYLOADS)
+def test_any_json_fault_plan_parses_or_is_a_request_error(faults):
+    """No pool is involved: this is the parse a 400 is decided by."""
+    try:
+        request = parse_request({"scenario": "owned-only", "faults": faults},
+                                "run")
+    except RequestError:
+        return
+    reparsed = parse_request(json.loads(request.to_json()), "run")
+    assert reparsed == request
 
 
 @settings(deadline=None, max_examples=5)

@@ -10,6 +10,7 @@ audited request so a silent drift in *either* path fails loudly.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
@@ -175,6 +176,38 @@ def test_mc_endpoint_byte_identical_to_cli(tmp_path):
     assert offline.read_bytes() == miss[2]
 
 
+def test_connection_close_ends_in_eof_after_the_pool_forks():
+    """The first run forks the process pool while the client socket is
+    open, so a worker holds a copy of it; the response must still end
+    in EOF rather than wait on that copy."""
+    body = json.dumps(
+        {"scenario": "owned-only", "years": 0.1, "report_days": 5.0}
+    ).encode("utf-8")
+    head = (
+        f"POST /v1/run HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1")
+
+    async def scenario():
+        server = HttpServer(ScenarioService(workers=1), port=0)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(head + body)
+            await writer.drain()
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=10.0)
+            finally:
+                writer.close()
+        finally:
+            await server.stop()
+
+    response = run_async(scenario())
+    assert response.startswith(b"HTTP/1.1 200 ")
+
+
 def test_default_payloads_share_cli_defaults():
     # An empty overrides/faults request must hash identically to the
     # minimal spelling — otherwise clients split the cache.
@@ -259,6 +292,42 @@ def test_payload_limit_is_enforced_at_the_boundary():
     assert "serve_executions_total 0" in after_over
     assert fits[0] == 200
     assert fits[1]["x-cache"] == "miss"
+
+
+def test_malformed_fault_plans_are_400s_before_any_execution():
+    """Each ill-typed plan gets a 400 naming the fault and the field, on
+    a connection that stays open; none reaches the pool."""
+    kill = {"kind": "kill", "at_s": 5.0, "select": {"by": "tier"}}
+    faults = [
+        ({**kill, "select": "x"}, "field 'select' must be an object"),
+        ({**kill, "select": {"by": "name", "names": [1]}},
+         "field 'select.names' must be a list of strings"),
+        ({**kill, "colour": "red"}, "unknown field(s) ['colour']"),
+        ({**kill, "at_s": float("nan")}, "field 'at_s' must be a finite number"),
+        ({"kind": "churn-burst", "at_s": 1, "k": 2.7},
+         "field 'k' must be an integer"),
+    ]
+
+    async def scenario(server):
+        conn = await open_keepalive(server.port)
+        replies = []
+        for fault, _message in faults:
+            payload = {"scenario": "owned-only", "years": 0.1,
+                       "faults": {"version": 1, "faults": [fault]}}
+            replies.append(
+                await post_json(server.port, "/v1/run", payload, conn=conn)
+            )
+        conn[1].close()
+        return replies, server.service.metrics_text()
+
+    replies, metrics = run_async(_serve(scenario))
+    for (fault, message), (status, _headers, body) in zip(faults, replies):
+        assert status == 400
+        kind = fault["kind"]
+        assert json.loads(body)["error"].startswith(
+            f"bad fault plan: fault #0 ({kind}): {message}"
+        )
+    assert "serve_executions_total 0" in metrics
 
 
 def test_golden_fixture_matches_direct_compute():

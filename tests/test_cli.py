@@ -204,11 +204,22 @@ class TestShardedExecution:
         assert "cannot merge shards" in _usage_error(capsys, "mc-merge")
 
 
-@pytest.fixture
-def planless_plan(tmp_path):
-    path = tmp_path / "planless.json"
-    path.write_text(json.dumps({"version": 1}))
-    return path
+def _bad_plan(**fault):
+    """A one-kill plan with ``fault``'s fields swapped in."""
+    kill = {"kind": "kill", "at_s": 5.0,
+            "select": {"by": "tier", "tier": "gateway"}}
+    return {"version": 1, "faults": [{**kill, **fault}]}
+
+
+#: Malformed fault plans, each refused where it enters with one message.
+MALFORMED_PLANS = {
+    "select-string": _bad_plan(select="x"),
+    "names-string": _bad_plan(select={"by": "name", "names": "gw"}),
+    "names-int": _bad_plan(select={"by": "name", "names": [1]}),
+    "k-float": _bad_plan(select={"by": "k-random", "k": 2.7}),
+    "unknown-field": _bad_plan(colour="red"),
+    "at-nan": _bad_plan(at_s=math.nan),
+}
 
 
 class TestRequestParity:
@@ -265,15 +276,25 @@ class TestRequestParity:
             pytest.param(["mc", "as-designed", "--faults", "PLAN"],
                          {"scenario": "as-designed", "faults": {"version": 1}},
                          id="mc-plan-without-faults"),
+            *[
+                pytest.param([command, "as-designed", "--faults", "PLAN"],
+                             {"scenario": "as-designed", "faults": plan},
+                             id=f"{command}-plan-{name}")
+                for command in ("run", "mc")
+                for name, plan in MALFORMED_PLANS.items()
+            ],
         ],
     )
     def test_cli_prints_the_served_message(
-        self, argv, payload, planless_plan, capsys
+        self, argv, payload, tmp_path, capsys
     ):
         command = argv[0]
         with pytest.raises(RequestError) as served:
             parse_request(payload, command)
-        argv = [str(planless_plan) if arg == "PLAN" else arg for arg in argv]
+        if "PLAN" in argv:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(payload["faults"]))
+            argv = [str(plan) if arg == "PLAN" else arg for arg in argv]
         assert main(argv) == 2
         assert _usage_error(capsys, command) == str(served.value)
 
